@@ -36,6 +36,13 @@
 //               propagate default, plus a pair-3 speedup measurement
 //               (backtrack + no cycle skip, i.e. the PR 7 configuration,
 //               vs. the current default) emitted as pair3_speedup.
+//   cycle skip  one knob off: the default configuration with
+//               core::SetCycleSkip(false) against the default, on pair 3
+//               and on the first generated fuel-loop (CWE-835) pair of
+//               seed 1. Emitted as pair3_cycle_skip_speedup and
+//               fuel_loop_cycle_skip_speedup; both legs' reports must be
+//               byte-identical. Unlike pair3_speedup this credits the
+//               cycle skip alone.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,7 +55,9 @@
 #include "core/artifact_store.h"
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
+#include "core/report_io.h"
 #include "corpus/pairs.h"
+#include "gen/generator.h"
 #include "symex/solver.h"
 #include "symex/state.h"
 
@@ -119,6 +128,47 @@ bool ReportsIdentical(const std::vector<core::VerificationReport>& a,
     }
   }
   return true;
+}
+
+/// One-knob-off A/B of the cycle skip on one pair: best-of-`reps` wall
+/// times with core::SetCycleSkip(false) and with the default (on), run
+/// alternately so host drift hits both legs alike.
+struct SkipLeg {
+  double off_seconds = 0;
+  double on_seconds = 0;
+  double speedup = 0;
+  bool identical = false;  // serialized reports, timings zeroed
+};
+
+SkipLeg MeasureCycleSkip(const corpus::Pair& pair, int reps) {
+  core::PipelineOptions off_opts;
+  core::SetCycleSkip(off_opts, false);
+  const core::PipelineOptions on_opts;
+  SkipLeg leg;
+  core::VerificationReport off_rep, on_rep;
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = Clock::now();
+    off_rep = core::VerifyPair(pair, off_opts);
+    const double off_s = SecondsSince(t0);
+    t0 = Clock::now();
+    on_rep = core::VerifyPair(pair, on_opts);
+    const double on_s = SecondsSince(t0);
+    if (r == 0 || off_s < leg.off_seconds) leg.off_seconds = off_s;
+    if (r == 0 || on_s < leg.on_seconds) leg.on_seconds = on_s;
+  }
+  leg.speedup = leg.on_seconds > 0 ? leg.off_seconds / leg.on_seconds : 0;
+  off_rep.timings = {};
+  on_rep.timings = {};
+  leg.identical = core::SerializeReport(off_rep) == core::SerializeReport(on_rep);
+  return leg;
+}
+
+/// The first fuel-loop (CWE-835) pair of generator seed 1.
+corpus::Pair FirstFuelLoopPair() {
+  for (int ordinal = 0;; ++ordinal) {
+    gen::GeneratedPair g = gen::BuildGeneratedPair(1, ordinal);
+    if (g.vuln_class == "fuel-loop") return std::move(g.pair);
+  }
 }
 
 ForkCost MeasureForkCost(int iterations) {
@@ -373,6 +423,23 @@ int main(int argc, char** argv) {
                 pair3_identical ? "byte-identical" : "DIVERGED");
   }
 
+  // -- Cycle skip, one knob off ---------------------------------------------
+  const int skip_reps = smoke ? 1 : 3;
+  SkipLeg pair3_skip;
+  if (pair3 < pairs.size()) {
+    pair3_skip = MeasureCycleSkip(pairs[pair3], skip_reps);
+  }
+  const SkipLeg fuel_skip = MeasureCycleSkip(FirstFuelLoopPair(), skip_reps);
+  for (const auto& [name, leg] :
+       {std::pair<const char*, const SkipLeg&>{"pair 3", pair3_skip},
+        std::pair<const char*, const SkipLeg&>{"fuel-loop", fuel_skip}}) {
+    std::printf("cycle skip:   %-9s %.4f s off | %.4f s on (%.1fx, reports "
+                "%s)\n",
+                name, leg.off_seconds, leg.on_seconds, leg.speedup,
+                leg.identical ? "byte-identical" : "DIVERGED");
+  }
+  std::printf("\n");
+
   // -- Machine-readable trajectory ------------------------------------------
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out != nullptr) {
@@ -426,6 +493,14 @@ int main(int argc, char** argv) {
                  "  \"pair3_optimized_seconds\": %.4f,\n"
                  "  \"pair3_speedup\": %.2f,\n"
                  "  \"pair3_identical\": %s,\n"
+                 "  \"pair3_cycle_skip_off_seconds\": %.4f,\n"
+                 "  \"pair3_cycle_skip_on_seconds\": %.4f,\n"
+                 "  \"pair3_cycle_skip_speedup\": %.2f,\n"
+                 "  \"pair3_cycle_skip_identical\": %s,\n"
+                 "  \"fuel_loop_cycle_skip_off_seconds\": %.4f,\n"
+                 "  \"fuel_loop_cycle_skip_on_seconds\": %.4f,\n"
+                 "  \"fuel_loop_cycle_skip_speedup\": %.2f,\n"
+                 "  \"fuel_loop_cycle_skip_identical\": %s,\n"
                  "  \"smoke\": %s\n"
                  "}\n",
                  run_parallel ? "ran" : "skipped (1 cpu)", parallel_seconds,
@@ -439,6 +514,10 @@ int main(int argc, char** argv) {
                  backend_identical ? "true" : "false",
                  pair3_baseline_seconds, pair3_optimized_seconds,
                  pair3_speedup, pair3_identical ? "true" : "false",
+                 pair3_skip.off_seconds, pair3_skip.on_seconds,
+                 pair3_skip.speedup, pair3_skip.identical ? "true" : "false",
+                 fuel_skip.off_seconds, fuel_skip.on_seconds,
+                 fuel_skip.speedup, fuel_skip.identical ? "true" : "false",
                  smoke ? "true" : "false");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
@@ -458,6 +537,13 @@ int main(int argc, char** argv) {
   if (!pair3_identical) {
     std::printf("FAIL: pair-3 optimized report diverged from the "
                 "baseline leg\n");
+    return 1;
+  }
+  if (!pair3_skip.identical || !fuel_skip.identical) {
+    std::printf("FAIL: cycle skip changed a report (pair 3 %s, fuel-loop "
+                "%s)\n",
+                pair3_skip.identical ? "identical" : "DIVERGED",
+                fuel_skip.identical ? "identical" : "DIVERGED");
     return 1;
   }
   if (!artifact_identical) {

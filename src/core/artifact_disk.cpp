@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -91,9 +93,13 @@ void FsyncFileAndDir(int fd, const std::string& dir) {
 
 std::unique_ptr<DiskArtifactStore> DiskArtifactStore::Open(
     const std::string& dir, std::string* error) {
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+  // Missing parents are created too: --cache-dir may name a fresh
+  // nested path.
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
     if (error != nullptr) {
-      *error = "cannot create cache dir " + dir + ": " + std::strerror(errno);
+      *error = "cannot create cache dir " + dir + ": " + ec.message();
     }
     return nullptr;
   }

@@ -711,6 +711,7 @@ void SetCycleSkip(PipelineOptions& options, bool enabled) {
   options.taint.exec.cycle_skip = enabled;
   options.cfg.exec.cycle_skip = enabled;
   options.verify_exec.cycle_skip = enabled;
+  options.symex.cycle_skip = enabled;
 }
 
 VerificationReport VerifyPair(const corpus::Pair& pair,

@@ -251,12 +251,14 @@ void SetVmDispatch(PipelineOptions& options, vm::DispatchMode mode);
 /// choice never enters artifact keys or journal fingerprints.
 void SetSolverBackend(PipelineOptions& options, symex::SolverBackendKind kind);
 
-/// Enables or disables the interpreter's exact-cycle fast-forward in
-/// every concrete execution the pipeline performs. The skip is
-/// state-identity based and byte-identical by construction (see
-/// vm::ExecOptions::cycle_skip), so it too stays out of artifact keys;
-/// the off position exists for the benchmark's honest baseline leg and
-/// for debugging.
+/// Enables or disables exact-cycle fast-forward everywhere the pipeline
+/// executes T or S: the interpreter in every concrete execution (P1
+/// taint, dynamic-CFG seeding, P4) and the symbolic executor in P2/P3.
+/// Both skips are state-identity based and answer-identical by
+/// construction (see vm::ExecOptions::cycle_skip and
+/// symex::ExecutorOptions::cycle_skip), so the switch stays out of
+/// artifact keys and journal fingerprints; the off position exists for
+/// the benchmark's honest baseline legs and for debugging.
 void SetCycleSkip(PipelineOptions& options, bool enabled);
 
 class Octopocs {

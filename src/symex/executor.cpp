@@ -8,6 +8,7 @@
 #include <optional>
 #include <thread>
 
+#include "support/cycle_schedule.h"
 #include "support/fault.h"
 #include "support/thread_pool.h"
 #include "support/trace.h"
@@ -63,6 +64,110 @@ bool KeyLess(const EventKey& a, const EventKey& b) {
                                       b.end());
 }
 
+/// Instructions between the stepping loop's budget/cancel checkpoints.
+constexpr std::uint64_t kCheckStride = 0x400;
+
+/// Everything a running state's future depends on, copied by value for
+/// exact-cycle detection (ExecutorOptions::cycle_skip). The COW memory
+/// pages and maps are copied out rather than shared: sharing would bump
+/// their owner counts, which moves FootprintBytes() (and so
+/// peak_memory_bytes) and makes the state's next write clone a page.
+/// Three fields are not copied because they cannot change unless a
+/// compared one does: solve_ctx (written only by AddConstraint, which
+/// grows `constraints`, and by solver queries, which bump `effects`),
+/// dfs_key (fixed for a state's lifetime) and bunch_targets (appended
+/// only together with ep_count).
+struct CycleSnapshot {
+  std::vector<SymFrame> frames;
+  std::vector<std::pair<std::uint64_t, ExprRef>> mem;
+  SymState::HeapMap heap;
+  SymState::LoopMap loop_counts;
+  std::uint64_t cursor = 0;
+  std::uint64_t file_pos = 0;
+  std::vector<ExprRef> constraints;
+  Model pinned;
+  std::vector<std::uint32_t> read_offsets;
+  std::uint64_t required_size = 0;
+  std::uint32_t event_seq = 0;
+  std::uint32_t ep_count = 0;
+  std::uint32_t depth_inside = 0;
+  bool combining_done = false;
+  bool fsize_observed = false;
+  /// The worker's side-effect count (solver queries, pushed states) when
+  /// the snapshot was taken. A period that changed it stands the skip
+  /// down: its effects live outside the state and skipping would drop
+  /// them.
+  std::uint64_t effects = 0;
+
+  void Take(const SymState& s, std::uint64_t effects_now) {
+    frames = s.frames;
+    mem.clear();
+    mem.reserve(s.mem.size());
+    s.mem.ForEach([&](std::uint64_t key, const ExprRef& value) {
+      mem.emplace_back(key, value);
+    });
+    heap = s.heap.get();
+    loop_counts = s.loop_counts.get();
+    cursor = s.cursor.next;
+    file_pos = s.file_pos;
+    constraints = s.constraints;
+    pinned = s.pinned;
+    read_offsets = s.read_offsets.items();
+    required_size = s.required_size;
+    event_seq = s.event_seq;
+    ep_count = s.ep_count;
+    depth_inside = s.depth_inside;
+    combining_done = s.combining_done;
+    fsize_observed = s.fsize_observed;
+    effects = effects_now;
+  }
+
+  /// Exact equality with `s`. ExprRefs compare by pointer, which the
+  /// run's hash-consing scope makes structural equality.
+  bool Matches(const SymState& s, std::uint64_t effects_now) const {
+    // Cheap rejects first: a progressing loop differs in its position or
+    // scalars at most checkpoints.
+    const SymFrame& top = s.frames.back();
+    if (effects != effects_now || frames.size() != s.frames.size() ||
+        frames.back().fn != top.fn || frames.back().block != top.block ||
+        frames.back().ip != top.ip || file_pos != s.file_pos ||
+        cursor != s.cursor.next || event_seq != s.event_seq ||
+        ep_count != s.ep_count || depth_inside != s.depth_inside ||
+        combining_done != s.combining_done ||
+        fsize_observed != s.fsize_observed ||
+        required_size != s.required_size ||
+        constraints.size() != s.constraints.size() ||
+        mem.size() != s.mem.size()) {
+      return false;
+    }
+    // Innermost frame first: a progressing loop differs in its top regs.
+    for (std::size_t i = frames.size(); i-- > 0;) {
+      if (!(frames[i] == s.frames[i])) return false;
+    }
+    if (constraints != s.constraints || pinned != s.pinned ||
+        read_offsets != s.read_offsets.items() || heap != s.heap.get() ||
+        loop_counts != s.loop_counts.get()) {
+      return false;
+    }
+    bool same = true;
+    std::size_t i = 0;
+    s.mem.ForEach([&](std::uint64_t key, const ExprRef& value) {
+      same = same && mem[i].first == key && mem[i].second == value;
+      ++i;
+    });
+    return same;
+  }
+};
+
+/// Per-RunState cycle detector: the armed snapshot and its schedule.
+struct CycleDetector {
+  support::CycleSchedule schedule;
+  CycleSnapshot snapshot;
+  /// One exact match seen; the skip is taken at the next one (see
+  /// SymExecutor::Run::CycleProbe).
+  bool matched = false;
+};
+
 }  // namespace
 
 struct SymExecutor::Run {
@@ -112,6 +217,10 @@ struct SymExecutor::Run {
     /// Event key of the goal this worker just committed (RunState
     /// returned true with a success status).
     EventKey goal_key;
+    /// Side effects outside the running state: solver queries (cache
+    /// hits and misses) and pushed states. Cycle skip compares it across
+    /// a period and stands down when it moved.
+    std::uint64_t effects = 0;
   };
 
   // -- Shared, thread-safe run state ----------------------------------------
@@ -243,6 +352,7 @@ struct SymExecutor::Run {
   /// reuse → independence slicing → fresh search, seeded with the
   /// state's own solve context (see SolverCache::Solve).
   SolveResult SolveConstraints(WorkerCtx& w, SymState& s) {
+    ++w.effects;
     SolverOptions query = opts.solver;
     query.context = &s.solve_ctx;
     SolveResult r = w.cache.Solve(s.constraints, s.pinned, query,
@@ -263,6 +373,7 @@ struct SymExecutor::Run {
   /// concretization/finalization queries into exact cache hits.
   SolveStatus BranchFeasible(WorkerCtx& w, SymState& s,
                              const ExprRef& constraint) {
+    ++w.effects;
     s.constraints.push_back(constraint);
     SolverOptions query = opts.solver;
     query.context = &s.solve_ctx;
@@ -452,6 +563,7 @@ struct SymExecutor::Run {
   // ---------------------------------------------------------------------
 
   void PushState(WorkerCtx& w, SymState&& s) {
+    ++w.effects;
     states_created_total.fetch_add(1, std::memory_order_relaxed);
     s.queued_charge = s.FootprintBytes();
     queued_footprint.fetch_add(s.queued_charge,
@@ -661,6 +773,60 @@ struct SymExecutor::Run {
   }
 
   // ---------------------------------------------------------------------
+  // Exact-cycle fast-forward (ExecutorOptions::cycle_skip).
+  // ---------------------------------------------------------------------
+
+  /// Runs at a checkpoint once the budget checks passed. Arms snapshots
+  /// on Brent's schedule over the state's own instruction count. The
+  /// first exact match proves the state periodic; the skip waits for a
+  /// second match so one whole period runs normally in steady state
+  /// (vector capacities settled, written COW pages already unshared):
+  /// every footprint the skipped checkpoints would have measured is then
+  /// measured, and any memory-budget abort they would have hit has
+  /// happened. In the serial drive loop checkpoints sit at every
+  /// kCheckStride-th global instruction, so the period is a multiple of
+  /// the stride and the skipped checkpoints see exactly the phases that
+  /// period saw. The jump then advances both instruction counters by
+  /// whole periods without crossing the per-state fuel or the global
+  /// instruction budget, and the residual runs normally into the same
+  /// fuel death or kBudget abort as the unskipped run. Returns true once
+  /// the detector is spent.
+  bool CycleProbe(WorkerCtx& w, SymState& s, CycleDetector& d) {
+    // Fault injection counts polls at fork and allocation sites;
+    // skipping periods would move the armed injection point.
+    if (support::fault::armed()) return false;
+    const std::uint64_t now = s.instructions;
+    if (d.schedule.ShouldArm(now)) {
+      d.snapshot.Take(s, w.effects);
+      d.schedule.Arm(now);
+      d.matched = false;
+      return false;
+    }
+    if (!d.snapshot.Matches(s, w.effects)) return false;
+    if (!d.matched) {
+      // The snapshot still equals the state: re-base without copying.
+      d.schedule.Arm(now);
+      d.matched = true;
+      return false;
+    }
+    const auto room = [](std::uint64_t limit, std::uint64_t used) {
+      return limit > used ? limit - used : 0;
+    };
+    // The state dies at the top of the step whose count would pass
+    // max_state_instructions; the global budget trips at the first
+    // checkpoint past max_instructions.
+    const std::uint64_t limit = std::min(
+        room(opts.max_state_instructions + 1, now),
+        room(opts.max_instructions,
+             instructions_total.load(std::memory_order_relaxed)));
+    const std::uint64_t jump =
+        support::WholePeriods(d.schedule.Period(now), limit);
+    s.instructions += jump;
+    instructions_total.fetch_add(jump, std::memory_order_relaxed);
+    return true;  // one skip per state run: the residual is under a period
+  }
+
+  // ---------------------------------------------------------------------
   // Single-state execution until death, fork-exhaustion, or goal.
   // ---------------------------------------------------------------------
 
@@ -669,6 +835,8 @@ struct SymExecutor::Run {
   /// run is finished (result filled in: goal reached, or budget/
   /// deadline tripped).
   bool RunState(WorkerCtx& w, SymState s, SymexResult* result) {
+    std::optional<CycleDetector> cycle;
+    if (opts.cycle_skip) cycle.emplace();
     while (s.death == StateDeath::kAlive) {
       if (s.instructions > opts.max_state_instructions) {
         Die(s, StateDeath::kDepthLimit);
@@ -677,7 +845,7 @@ struct SymExecutor::Run {
       ++s.instructions;
       const std::uint64_t global =
           instructions_total.fetch_add(1, std::memory_order_relaxed) + 1;
-      if ((global & 0x3FF) == 0) {
+      if ((global & (kCheckStride - 1)) == 0) {
         std::string why;
         if (OverBudget(s, &why)) {
           result->status = SymexStatus::kBudget;
@@ -697,6 +865,7 @@ struct SymExecutor::Run {
           if (coord->aborted()) return false;
           if (BeyondGoal(s.dfs_key)) return false;
         }
+        if (cycle && CycleProbe(w, s, *cycle)) cycle.reset();
       }
 
       SymFrame& frame = s.frames.back();

@@ -133,6 +133,22 @@ struct ExecutorOptions {
   /// hardware thread count — determinism must hold (and is tested) even
   /// oversubscribed.
   std::uint32_t frontier_jobs = 1;
+  /// Exact-cycle fast-forward for states stuck in a loop that touches no
+  /// symbolic byte (CWE-835 hangs walk the whole per-state fuel
+  /// otherwise). At per-state checkpoints on Brent's doubling schedule a
+  /// state's complete symbolic state is snapshotted by value; when a
+  /// later checkpoint matches it exactly — registers and memory by
+  /// ExprRef identity, which hash-consing makes exact — the state must
+  /// repeat that period, so its instruction counters jump a whole number
+  /// of periods and the last period runs normally into the same fuel
+  /// death or budget abort. Result and SymexStats are identical to the
+  /// unskipped run except the intern counters, which drop because
+  /// skipped steps build no expressions (DESIGN.md §8.5). The skip
+  /// stands down while fault injection is armed and for any period that
+  /// queried the solver, forked, or logged an event. Answer-identical,
+  /// so it never enters artifact keys or journal fingerprints; off is
+  /// the A/B baseline (core::SetCycleSkip).
+  bool cycle_skip = true;
   SolverOptions solver;
   /// Cooperative wall-clock bound over the whole symbolic run, polled in
   /// the stepping loop. Callers that also want mid-solve cancellation

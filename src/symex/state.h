@@ -34,11 +34,17 @@ struct SymFrame {
   std::size_t ip = 0;
   vm::Reg ret_reg = 0;
   std::vector<ExprRef> regs;
+
+  /// Registers compare by ExprRef pointer: under the run's hash-consing
+  /// scope equal structures share one node, so this is exact equality.
+  bool operator==(const SymFrame&) const = default;
 };
 
 struct SymAlloc {
   std::uint64_t size = 0;
   bool alive = true;
+
+  bool operator==(const SymAlloc&) const = default;
 };
 
 /// Why a state stopped executing. Used to classify the overall outcome
@@ -87,6 +93,8 @@ struct SymState {
   struct LoopEntry {
     std::uint32_t count = 0;
     std::uint64_t last_constraint_count = ~std::uint64_t{0};
+
+    bool operator==(const LoopEntry&) const = default;
   };
   using LoopMap =
       std::map<std::tuple<vm::FuncId, vm::BlockId, vm::BlockId>, LoopEntry>;

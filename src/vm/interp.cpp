@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "support/cycle_schedule.h"
 #include "support/fault.h"
 #include "vm/fusion.h"
 #include "vm/op_info.h"
@@ -75,9 +76,7 @@ std::size_t ThreadedDispatchTableSize() { return kDispatchTableSize; }
 /// P / gcd(P, kInterpCheckStride) checkpoints, so detection lands once
 /// the armed count exceeds both the loop's warm-up and that period.
 struct Interpreter::CycleDetector {
-  std::uint64_t arm_instr = 0;  // instruction count of the snapshot
-  std::uint64_t arm_limit = 0;  // re-arm once the count reaches this
-  bool armed = false;
+  support::CycleSchedule schedule;
 
   std::vector<Frame> frames;
   std::map<std::uint64_t, Allocation> heap;
@@ -104,9 +103,7 @@ void Interpreter::CycleArm() {
   d.cursor = cursor_;
   d.live_heap_bytes = live_heap_bytes_;
   d.file_pos = file_pos_;
-  d.arm_instr = result_.instructions;
-  d.arm_limit = result_.instructions * 2;
-  d.armed = true;
+  d.schedule.Arm(result_.instructions);
 }
 
 bool Interpreter::CycleStateEquals() const {
@@ -148,7 +145,7 @@ void Interpreter::CycleProbe() {
   CycleDetector& d = *cycle_;
   const std::uint64_t now = result_.instructions;
   if (now == 0) return;
-  if (!d.armed || now >= d.arm_limit) {
+  if (d.schedule.ShouldArm(now)) {
     CycleArm();
     return;
   }
@@ -167,9 +164,8 @@ void Interpreter::CycleProbe() {
   // counter a whole number of periods; the residual executes normally
   // and lands on the same final state, backtrace, and trap the full run
   // would have produced.
-  const std::uint64_t period = now - d.arm_instr;
-  const std::uint64_t remaining = opts_.fuel - now;
-  result_.instructions += remaining / period * period;
+  result_.instructions +=
+      support::WholePeriods(d.schedule.Period(now), opts_.fuel - now);
   cycle_.reset();  // one skip per run; the residual is under one period
 }
 

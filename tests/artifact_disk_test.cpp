@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -66,6 +67,36 @@ TEST(DiskArtifactStore, PutGetRoundTripAndIdempotence) {
   EXPECT_FALSE(store->Get(Key(2)).has_value());
   EXPECT_EQ(store->stats().hits, 1u);
   EXPECT_EQ(store->stats().misses, 1u);
+}
+
+TEST(DiskArtifactStore, NestedMissingCacheDirIsCreated) {
+  const std::string root = testing::TempDir() + "octopocs_disk_nested";
+  std::filesystem::remove_all(root);
+  const std::string dir = root + "/a/b/cache";
+  std::string error;
+  auto store = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(store, nullptr) << error;
+  const Bytes payload = Payload("nested");
+  EXPECT_TRUE(store->Put(Key(1), ByteView(payload)));
+  store.reset();
+  auto reopened = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->Get(Key(1)), payload);
+  std::filesystem::remove_all(root);
+}
+
+TEST(DiskArtifactStore, UncreatableCacheDirIsAnActionableError) {
+  // A regular file where a parent directory should be: nothing can be
+  // created under it, and Open must say so instead of failing later.
+  const std::string root = testing::TempDir() + "octopocs_disk_blocked";
+  std::filesystem::remove_all(root);
+  WriteFileBytes(root, "not a directory");
+  std::string error;
+  EXPECT_EQ(DiskArtifactStore::Open(root + "/cache", &error), nullptr);
+  EXPECT_NE(error.find("cannot create cache dir " + root + "/cache"),
+            std::string::npos)
+      << error;
+  std::filesystem::remove_all(root);
 }
 
 TEST(DiskArtifactStore, EveryTruncationOfTheIndexHealsOnReopen) {

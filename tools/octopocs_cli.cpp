@@ -161,6 +161,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -1453,6 +1454,15 @@ int CmdSoak(int argc, char** argv) {
   if (o.workdir.empty()) {
     std::fprintf(stderr, "soak: --workdir is required (journals, caches, "
                          "sockets and stamp files live there)\n");
+    return 2;
+  }
+  // A missing workdir is created, parents included; every leg would
+  // otherwise fail on its first file and report that as a violation.
+  std::error_code ec;
+  std::filesystem::create_directories(o.workdir, ec);
+  if (ec) {
+    std::fprintf(stderr, "soak: cannot create --workdir %s: %s\n",
+                 o.workdir.c_str(), ec.message().c_str());
     return 2;
   }
   core::SetGenPairLoader(&gen::LoadGeneratedPair);
