@@ -43,6 +43,11 @@
 //               fuel_loop_cycle_skip_speedup; both legs' reports must be
 //               byte-identical. Unlike pair3_speedup this credits the
 //               cycle skip alone.
+//   pair 14     the Type-III pair that must exhaust its θ loop paths
+//               (most of the corpus's solver work): best-of-N wall time
+//               under the default options and its total solver search
+//               steps, emitted as pair14_seconds / pair14_solver_steps.
+//               Recorded, not gated.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -423,6 +428,22 @@ int main(int argc, char** argv) {
                 pair3_identical ? "byte-identical" : "DIVERGED");
   }
 
+  // -- Pair 14: the solver-bound pair ---------------------------------------
+  double pair14_seconds = 0;
+  unsigned long long pair14_solver_steps = 0;
+  for (const corpus::Pair& pair : pairs) {
+    if (pair.idx != 14) continue;
+    for (int r = 0; r < (smoke ? 1 : 3); ++r) {
+      const auto t0 = Clock::now();
+      const core::VerificationReport rep = core::VerifyPair(pair, opts);
+      const double s = SecondsSince(t0);
+      if (r == 0 || s < pair14_seconds) pair14_seconds = s;
+      pair14_solver_steps = rep.symex_stats.solver_steps;
+    }
+    std::printf("pair 14:      %.3f s | %llu solver steps\n\n",
+                pair14_seconds, pair14_solver_steps);
+  }
+
   // -- Cycle skip, one knob off ---------------------------------------------
   const int skip_reps = smoke ? 1 : 3;
   SkipLeg pair3_skip;
@@ -501,6 +522,8 @@ int main(int argc, char** argv) {
                  "  \"fuel_loop_cycle_skip_on_seconds\": %.4f,\n"
                  "  \"fuel_loop_cycle_skip_speedup\": %.2f,\n"
                  "  \"fuel_loop_cycle_skip_identical\": %s,\n"
+                 "  \"pair14_seconds\": %.4f,\n"
+                 "  \"pair14_solver_steps\": %llu,\n"
                  "  \"smoke\": %s\n"
                  "}\n",
                  run_parallel ? "ran" : "skipped (1 cpu)", parallel_seconds,
@@ -518,6 +541,7 @@ int main(int argc, char** argv) {
                  pair3_skip.speedup, pair3_skip.identical ? "true" : "false",
                  fuel_skip.off_seconds, fuel_skip.on_seconds,
                  fuel_skip.speedup, fuel_skip.identical ? "true" : "false",
+                 pair14_seconds, pair14_solver_steps,
                  smoke ? "true" : "false");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());

@@ -479,7 +479,9 @@ void RunDaemonLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
   const std::string sock = o.workdir + "/daemon.sock";
   const std::string cache = o.workdir + "/daemon-cache";
   support::PersistentProcess daemon;
-  const auto spawn = [&]() -> bool {
+  // Starts the daemon and waits until it listens; returns why it did
+  // not, or "" once it does.
+  const auto spawn = [&]() -> std::string {
     // A SIGKILL leaves the old socket file behind; unlink it so
     // readiness below really means the new daemon is listening.
     ::unlink(sock.c_str());
@@ -488,16 +490,27 @@ void RunDaemonLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
                        "--cache-dir", cache, "--workers",
                        std::to_string(std::max(1u, o.jobs))},
                       support::SubprocessLimits{}, &err)) {
-      return false;
+      return "spawn failed: " + err;
     }
     for (int i = 0; i < 400; ++i) {
-      if (::access(sock.c_str(), F_OK) == 0) return true;
+      if (::access(sock.c_str(), F_OK) == 0) return "";
+      // A daemon that died (bad binary, bad flags, a crash at start-up)
+      // will never listen: report it now instead of after the timeout.
+      if (const auto exited = daemon.PollExit()) {
+        return exited->status == support::SubprocessStatus::kSignaled
+                   ? "exited (signal " +
+                         std::to_string(exited->term_signal) +
+                         ") before listening"
+                   : "exited (status " +
+                         std::to_string(exited->exit_code) +
+                         ") before listening";
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
-    return false;
+    return "never became ready on " + sock;
   };
-  if (!spawn()) {
-    Violate(report, "daemon: never became ready on " + sock);
+  if (const std::string why = spawn(); !why.empty()) {
+    Violate(report, "daemon: " + why);
     return;
   }
 
@@ -535,9 +548,9 @@ void RunDaemonLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
     }
     daemon.Kill();
     ++report->daemon_restarts;
-    if (!spawn()) {
+    if (const std::string why = spawn(); !why.empty()) {
       Violate(report, "daemon: restart " + std::to_string(kill + 1) +
-                          " never became ready");
+                          ": " + why);
       break;
     }
   }

@@ -337,11 +337,39 @@ SubprocessResult PersistentProcess::Kill() { return Finish(true); }
 
 SubprocessResult PersistentProcess::Reap() { return Finish(false); }
 
-SubprocessResult PersistentProcess::Finish(bool force_kill) {
+namespace {
+
+void DecodeWaitStatus(bool reaped, int status, SubprocessResult* result) {
+  if (reaped && WIFEXITED(status)) {
+    result->status = SubprocessStatus::kExited;
+    result->exit_code = WEXITSTATUS(status);
+  } else if (reaped && WIFSIGNALED(status)) {
+    result->status = SubprocessStatus::kSignaled;
+    result->term_signal = WTERMSIG(status);
+  } else {
+    result->status = SubprocessStatus::kSpawnError;
+    result->error = "waitpid lost the child";
+  }
+}
+
+}  // namespace
+
+SubprocessResult PersistentProcess::Release() {
   SubprocessResult result;
   result.output = buffer_;
   buffer_.clear();
+  close(in_fd_);
+  close(out_fd_);
+  in_fd_ = out_fd_ = -1;
+  pid_ = -1;
+  return result;
+}
+
+SubprocessResult PersistentProcess::Finish(bool force_kill) {
   if (!alive()) {
+    SubprocessResult result;
+    result.output = buffer_;
+    buffer_.clear();
     result.error = "no child to reap";
     return result;
   }
@@ -349,25 +377,27 @@ SubprocessResult PersistentProcess::Finish(bool force_kill) {
   // Signaling an already-exited (zombie) child is a harmless no-op and
   // preserves its real wait status.
   if (force_kill) kill(pid, SIGKILL);
-  close(in_fd_);
-  close(out_fd_);
-  in_fd_ = out_fd_ = -1;
-  pid_ = -1;
+  SubprocessResult result = Release();
   int status = 0;
   pid_t reaped;
   do {
     reaped = waitpid(pid, &status, 0);
   } while (reaped < 0 && errno == EINTR);
-  if (reaped == pid && WIFEXITED(status)) {
-    result.status = SubprocessStatus::kExited;
-    result.exit_code = WEXITSTATUS(status);
-  } else if (reaped == pid && WIFSIGNALED(status)) {
-    result.status = SubprocessStatus::kSignaled;
-    result.term_signal = WTERMSIG(status);
-  } else {
-    result.status = SubprocessStatus::kSpawnError;
-    result.error = "waitpid lost the child";
-  }
+  DecodeWaitStatus(reaped == pid, status, &result);
+  return result;
+}
+
+std::optional<SubprocessResult> PersistentProcess::PollExit() {
+  if (!alive()) return std::nullopt;
+  const pid_t pid = static_cast<pid_t>(pid_);
+  int status = 0;
+  pid_t reaped;
+  do {
+    reaped = waitpid(pid, &status, WNOHANG);
+  } while (reaped < 0 && errno == EINTR);
+  if (reaped != pid) return std::nullopt;  // still running
+  SubprocessResult result = Release();
+  DecodeWaitStatus(true, status, &result);
   return result;
 }
 
@@ -402,6 +432,10 @@ SubprocessResult PersistentProcess::Reap() { return SubprocessResult{}; }
 
 SubprocessResult PersistentProcess::Finish(bool) {
   return SubprocessResult{};
+}
+
+std::optional<SubprocessResult> PersistentProcess::PollExit() {
+  return std::nullopt;
 }
 
 #endif

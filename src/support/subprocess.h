@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,7 +107,14 @@ class PersistentProcess {
   bool Spawn(const std::vector<std::string>& argv,
              const SubprocessLimits& limits, std::string* error);
 
+  /// A child was spawned and not yet reaped. It may have exited since;
+  /// PollExit() tells without blocking.
   bool alive() const { return pid_ > 0; }
+
+  /// Non-blocking exit check: when the child has already exited, reaps
+  /// it and returns its status (as Reap() would); nullopt while it runs
+  /// or when there is no child.
+  std::optional<SubprocessResult> PollExit();
 
   /// Writes `line` plus a newline to the child's stdin. False when the
   /// child is gone (EPIPE) — the caller should Kill() and classify.
@@ -130,6 +138,8 @@ class PersistentProcess {
 
  private:
   SubprocessResult Finish(bool force_kill);
+  /// Closes the pipes and forgets the child; returns the buffered output.
+  SubprocessResult Release();
 
   long pid_ = -1;  // pid_t, widened so the header stays platform-clean
   int in_fd_ = -1;   // parent's write end of the child's stdin

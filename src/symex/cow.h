@@ -14,9 +14,14 @@
 //                mut() clones the container iff another state still
 //                references it.
 //
-// Sharing is only ever *within* one executor run, which is single-
-// threaded; parallel corpus verification runs one executor per thread
-// and states never migrate, so use_count() checks are race-free.
+// Sharing is only ever *within* one executor run, but with frontier
+// jobs a run's states migrate between worker threads, so two siblings
+// holding one value can live on different threads. A sibling that
+// clones the shared value reads it and then drops its reference; the
+// other may then write the value in place. use_count() is a relaxed
+// load and does not order that clone's reads before those writes, so
+// the in-place path first re-reads the count with an acquire (see
+// SharedWithSibling).
 //
 // FootprintBytes() charges shared storage fractionally (bytes divided by
 // the number of owners) so the Table IV RAM metric keeps matching real
@@ -30,6 +35,19 @@
 #include <utility>
 
 namespace octopocs::symex {
+
+/// True when a handle other than `p` still owns its value, so a write
+/// must clone first. On the sole-owner path the count is re-read by
+/// copying the pointer: that increment is an acq_rel read-modify-write
+/// on the counter a sibling's release decremented when it dropped the
+/// value, so everything the sibling did with the value (its clone)
+/// happens before our in-place writes.
+template <typename P>
+bool SharedWithSibling(const std::shared_ptr<P>& p) {
+  if (p.use_count() > 1) return true;
+  const std::shared_ptr<P> acquire = p;
+  return acquire.use_count() > 2;
+}
 
 template <typename V>
 class CowPageMap {
@@ -59,7 +77,7 @@ class CowPageMap {
     std::shared_ptr<Page>& ref = pages_[key >> kPageBits];
     if (!ref) {
       ref = std::make_shared<Page>();
-    } else if (ref.use_count() > 1) {
+    } else if (SharedWithSibling(ref)) {
       ref = std::make_shared<Page>(*ref);
     }
     Page& page = *ref;
@@ -125,7 +143,7 @@ class Cow {
 
   /// Mutable access; clones iff a forked sibling still shares the value.
   T& mut() {
-    if (value_.use_count() > 1) value_ = std::make_shared<T>(*value_);
+    if (SharedWithSibling(value_)) value_ = std::make_shared<T>(*value_);
     return *value_;
   }
 

@@ -349,8 +349,9 @@ struct SymExecutor::Run {
 
   /// Satisfiability of `s`'s path constraints through the worker's
   /// incremental cache: exact memo → subsumption → certified model
-  /// reuse → independence slicing → fresh search, seeded with the
-  /// state's own solve context (see SolverCache::Solve).
+  /// reuse → fresh search, which answers the unary-only bytes from the
+  /// state's own solve context and searches only the coupled residue
+  /// (see SolverCache::Solve and ByteSolver::SolveWith).
   SolveResult SolveConstraints(WorkerCtx& w, SymState& s) {
     ++w.effects;
     SolverOptions query = opts.solver;
@@ -987,8 +988,8 @@ struct SymExecutor::Run {
     // Directed mode proves each CFG-viable direction satisfiable before
     // committing or forking. Successive checks over one state extend a
     // shared prefix, which is the workload the incremental cache is
-    // built for (exact hits on the committed direction, model reuse and
-    // slicing on the extensions, subsumption on UNSAT prefixes). Naive
+    // built for (exact hits on the committed direction, model reuse on
+    // the extensions, subsumption on UNSAT prefixes). Naive
     // mode keeps the fork-everything behaviour — the Table IV baseline
     // measures exactly that state blow-up.
     if (directed) {

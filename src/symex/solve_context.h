@@ -46,12 +46,35 @@ struct ByteDomain {
     return (bits[0] | bits[1] | bits[2] | bits[3]) == 0;
   }
 
+  /// Smallest allowed value; precondition: !None().
+  unsigned Lowest() const {
+    for (unsigned w = 0; w < 4; ++w) {
+      if (bits[w] != 0) return w * 64 + __builtin_ctzll(bits[w]);
+    }
+    return 0;
+  }
+
   int Count() const {
     int n = 0;
     for (const std::uint64_t w : bits) n += __builtin_popcountll(w);
     return n;
   }
 };
+
+/// Clears from `domain` every value of input byte `var` under which the
+/// unary `constraint` (whose only free variable is `var`) evaluates to
+/// zero: the 256-probe filtering both the context and the solver's
+/// unary-only fast path apply.
+inline void FilterUnary(const ExprRef& constraint, std::uint32_t var,
+                        ByteDomain* domain) {
+  Model probe;
+  std::uint8_t& cell = probe[var];
+  for (unsigned v = 0; v < 256; ++v) {
+    if (!domain->Test(v)) continue;
+    cell = static_cast<std::uint8_t>(v);
+    if (Eval(constraint, probe) == 0) domain->Reset(v);
+  }
+}
 
 class SolveContext {
  public:
@@ -82,13 +105,7 @@ class SolveContext {
       }
     }
     VarEntry& entry = domains_.mut()[var];
-    Model probe;
-    std::uint8_t& cell = probe[var];
-    for (unsigned v = 0; v < 256; ++v) {
-      if (!entry.domain.Test(v)) continue;
-      cell = static_cast<std::uint8_t>(v);
-      if (Eval(constraint, probe) == 0) entry.domain.Reset(v);
-    }
+    FilterUnary(constraint, var, &entry.domain);
     entry.applied.insert(
         std::lower_bound(entry.applied.begin(), entry.applied.end(), node),
         node);

@@ -63,7 +63,7 @@ const SolverCache::Entry* SolverCache::FindExact(
 bool SolverCache::TryModelReuse(const std::vector<ExprRef>& constraints,
                                 const Model& pins, const Model& hints,
                                 const std::vector<Model>& pool,
-                                Model* out) const {
+                                const SolveContext* ctx, Model* out) const {
   // Assemble a candidate assignment over exactly the constrained
   // variables and *evaluate* the full constraint set under it — a reuse
   // hit is a certificate, never a guess, and kUnsat can never come from
@@ -73,26 +73,58 @@ bool SolverCache::TryModelReuse(const std::vector<ExprRef>& constraints,
   // candidate uses no cached model at all, which captures the common
   // case of a guiding path the original PoC bytes already satisfy; then
   // recent models, newest first.
-  SortedSmallSet<std::uint32_t> vars;
-  for (const ExprRef& c : constraints) vars.UnionWith(FreeVars(c));
+  //
+  // The unary constraints a SolveContext has folded are certified by one
+  // domain test per variable instead: every constraint the context
+  // applied is a member of the query (the executor's contract), so its
+  // domain for a variable is exactly the set of values all of them
+  // accept. Only the remaining constraints are evaluated.
+  std::vector<std::uint32_t> vars;
+  std::vector<const ExprRef*> evaluated;
+  for (const ExprRef& c : constraints) {
+    const SortedSmallSet<std::uint32_t>& fv = FreeVars(c);
+    vars.insert(vars.end(), fv.begin(), fv.end());
+    const SolveContext::VarEntry* entry =
+        ctx != nullptr && fv.size() == 1 ? ctx->Find(*fv.begin()) : nullptr;
+    if (entry == nullptr ||
+        !std::binary_search(entry->applied.begin(), entry->applied.end(),
+                            c.get())) {
+      evaluated.push_back(&c);
+    }
+  }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  std::vector<const ByteDomain*> domains(vars.size(), nullptr);
+  if (ctx != nullptr) {
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      if (const SolveContext::VarEntry* entry = ctx->Find(vars[i])) {
+        domains[i] = &entry->domain;
+      }
+    }
+  }
   for (std::size_t i = pool.size() + 1; i-- > 0;) {
     const Model* reuse = i == 0 ? nullptr : &pool[i - 1];
-    Model candidate;
-    for (const std::uint32_t var : vars) {
-      if (const auto pin = pins.find(var); pin != pins.end()) {
-        candidate[var] = pin->second;
-      } else if (reuse != nullptr && reuse->count(var) != 0) {
-        candidate[var] = reuse->at(var);
-      } else if (const auto hint = hints.find(var); hint != hints.end()) {
-        candidate[var] = hint->second;
-      }  // else absent: evaluates as 0, the solver default
-    }
-    bool satisfied = true;
-    for (const ExprRef& c : constraints) {
-      if (Eval(c, candidate) == 0) {
-        satisfied = false;
-        break;
+    const auto pick = [&](std::uint32_t var) -> const std::uint8_t* {
+      for (const Model* source : {&pins, reuse, &hints}) {
+        if (source == nullptr) continue;
+        if (const auto it = source->find(var); it != source->end()) {
+          return &it->second;
+        }
       }
+      return nullptr;  // absent: evaluates as 0, the solver default
+    };
+    Model candidate;
+    bool satisfied = true;
+    for (std::size_t v = 0; v < vars.size() && satisfied; ++v) {
+      const std::uint8_t* value = pick(vars[v]);
+      if (value != nullptr) {
+        candidate.emplace_hint(candidate.end(), vars[v], *value);
+      }
+      satisfied = domains[v] == nullptr ||
+                  domains[v]->Test(value != nullptr ? *value : 0);
+    }
+    for (std::size_t c = 0; c < evaluated.size() && satisfied; ++c) {
+      satisfied = Eval(*evaluated[c], candidate) != 0;
     }
     if (satisfied) {
       *out = std::move(candidate);
@@ -111,7 +143,8 @@ const SolveResult* SolverCache::Lookup(
     return &entry->result;
   }
   Model candidate;
-  if (TryModelReuse(constraints, pins, hints, reuse_models_, &candidate)) {
+  if (TryModelReuse(constraints, pins, hints, reuse_models_, nullptr,
+                    &candidate)) {
     ++stats_.hits;
     ++stats_.model_reuse_hits;
     reuse_scratch_.status = SolveStatus::kSat;
@@ -232,7 +265,8 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
   Model candidate;
   const std::vector<Model>& pool =
       ctx != nullptr ? ctx->recent_models() : reuse_models_;
-  if (TryModelReuse(constraints, pins, options.hints, pool, &candidate)) {
+  if (TryModelReuse(constraints, pins, options.hints, pool, ctx,
+                    &candidate)) {
     ++stats_.hits;
     ++stats_.model_reuse_hits;
     out.status = SolveStatus::kSat;
@@ -353,6 +387,88 @@ bool DecomposeConcatEquality(const ExprRef& constraint,
         MakeConst((konst->value >> (8 * lane)) & 0xFF)));
   }
   return true;
+}
+
+/// Solves `all` (the preprocessed system) one independence component at
+/// a time where that costs nothing: every byte that no multi-variable
+/// constraint mentions is answered here from its domain, and only the
+/// coupled residue goes to the backend (DESIGN.md §10.1).
+///
+/// A unary-only byte's domain is fixed before the search's first
+/// decision (all its constraints are unary, so the prefilter folds them
+/// all and propagation never reaches it), so every value left in it
+/// satisfies every constraint on it. The monolithic search therefore
+/// keeps the first value it tries for that byte — the hint when the
+/// domain allows it, else the lowest allowed value — and backtracking
+/// in the other components only re-walks the same subtrees under it.
+/// The residue's first model and verdict are those of the residue's
+/// own search, so the merged model is the monolithic first model, and
+/// an empty unary-only domain is the monolithic prefilter's kUnsat.
+/// Only `steps` differ: they count the residue search alone.
+SolveResult SolveByComponents(const std::vector<ExprRef>& all,
+                              const SolverOptions& options) {
+  std::vector<std::uint32_t> coupled;
+  for (const ExprRef& c : all) {
+    const SortedSmallSet<std::uint32_t>& vars = FreeVars(c);
+    if (vars.size() > 1) {
+      coupled.insert(coupled.end(), vars.begin(), vars.end());
+    }
+  }
+  std::sort(coupled.begin(), coupled.end());
+  coupled.erase(std::unique(coupled.begin(), coupled.end()), coupled.end());
+
+  // Zero-variable constraints stay in the residue with the coupled
+  // ones: whatever the backend does with them, it does unchanged.
+  std::vector<ExprRef> residue;
+  std::vector<std::pair<std::uint32_t, std::size_t>> unary;  // (var, index)
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const SortedSmallSet<std::uint32_t>& vars = FreeVars(all[i]);
+    if (vars.size() == 1 &&
+        !std::binary_search(coupled.begin(), coupled.end(), *vars.begin())) {
+      unary.emplace_back(*vars.begin(), i);
+    } else {
+      residue.push_back(all[i]);
+    }
+  }
+  std::sort(unary.begin(), unary.end());
+
+  SolveResult result;
+  Model decided;
+  for (std::size_t i = 0; i < unary.size();) {
+    const std::uint32_t var = unary[i].first;
+    const SolveContext::VarEntry* seed =
+        options.context != nullptr ? options.context->Find(var) : nullptr;
+    ByteDomain domain = seed != nullptr ? seed->domain : ByteDomain{};
+    for (; i < unary.size() && unary[i].first == var; ++i) {
+      const ExprRef& c = all[unary[i].second];
+      if (seed == nullptr ||
+          !std::binary_search(seed->applied.begin(), seed->applied.end(),
+                              c.get())) {
+        FilterUnary(c, var, &domain);
+      }
+    }
+    if (domain.None()) {
+      result.status = SolveStatus::kUnsat;
+      return result;
+    }
+    const auto hint = options.hints.find(var);
+    decided.emplace_hint(
+        decided.end(), var,
+        hint != options.hints.end() && domain.Test(hint->second)
+            ? hint->second
+            : static_cast<std::uint8_t>(domain.Lowest()));
+  }
+
+  if (residue.empty()) {
+    // The one cancellation poll a backend makes on an empty system.
+    support::CancelToken cancel = options.cancel;
+    result.status =
+        cancel.ShouldStop() ? SolveStatus::kCancelled : SolveStatus::kSat;
+  } else {
+    result = GetSolverBackend(options.backend).Solve(residue, options);
+  }
+  if (result.status == SolveStatus::kSat) result.model.merge(decided);
+  return result;
 }
 
 bool Definitive(SolveStatus s) {
@@ -493,7 +609,7 @@ SolveResult ByteSolver::SolveWith(const std::vector<ExprRef>& extra) const {
       return result;
     }
   }
-  return GetSolverBackend(options_.backend).Solve(all, options_);
+  return SolveByComponents(all, options_);
 }
 
 }  // namespace octopocs::symex

@@ -20,6 +20,16 @@
 //               doubled-budget retry, and a cancelled verdict must never
 //               enter the SolverCache.
 //
+// ByteSolver preprocesses each system (dedup, concat-equality
+// decomposition, constant screening) and then splits it: every byte no
+// multi-variable constraint mentions is its own independence component,
+// answered without search from its filtered domain (SolveContext seed
+// plus any unapplied unary constraint) — the hint when the domain allows
+// it, else the lowest allowed value, which is exactly what a monolithic
+// search would pick; an empty domain is kUnsat. Only the coupled residue
+// reaches a search core, so `steps` count the residue search alone
+// (DESIGN.md §10.1).
+//
 // Two search cores implement the same decision procedure behind the
 // SolverBackend interface (DESIGN.md §15):
 //
@@ -182,7 +192,11 @@ class ByteSolver {
   /// Complete search. Stateless w.r.t. previous Solve calls.
   SolveResult Solve() const;
 
-  /// Convenience: satisfiability of (current constraints + extra).
+  /// Satisfiability of (current constraints + extra): preprocesses,
+  /// answers the unary-only bytes without search, and sends the coupled
+  /// residue to the configured backend. Status and model equal the
+  /// monolithic GetSolverBackend(backend).Solve of the preprocessed
+  /// system whenever that one is definitive; `steps` count the residue.
   SolveResult SolveWith(const std::vector<ExprRef>& extra) const;
 
  private:
@@ -213,17 +227,21 @@ class ByteSolver {
 ///                 bytes onto each candidate model and *evaluates* the
 ///                 full constraint set under it; only a model that
 ///                 certifies every constraint is returned, as kSat.
+///                 Unary constraints the SolveContext already folded
+///                 are certified by one domain test per byte instead
+///                 of one evaluation each; the rest are evaluated.
 ///                 kUnsat can never come from reuse, so a cached
 ///                 verdict can never contradict a fresh solve. With a
 ///                 SolveContext the candidate pool is the state's own
 ///                 (pure, forked-with-the-state) pool; without one, a
 ///                 small global most-recent pool.
 ///
-/// (A fourth mechanism, per-slice caching over independence slices, was
-/// retired: slice hits had been zero across the corpus since the
-/// SolveContext/prefix tiers above were introduced, because every query
-/// they could answer is answered earlier in the tier order. The
-/// union-find partitioning cost on every miss bought nothing.)
+/// A miss goes to ByteSolver, which answers the unary-only bytes from
+/// the context and searches only the coupled residue. (Per-slice
+/// *caching* over independence slices was retired: slice hits had been
+/// zero across the corpus, because every query a slice could answer is
+/// answered earlier in the tier order. The split that remains caches
+/// nothing; it only keeps the unary-only bytes out of the search.)
 ///
 /// The cache additionally owns the cross-query NogoodStore the
 /// propagate backend feeds, scoped like everything else here to one
@@ -302,7 +320,8 @@ class SolverCache {
   void RememberUnsat(const std::vector<ExprRef>& constraints);
   bool TryModelReuse(const std::vector<ExprRef>& constraints,
                      const Model& pins, const Model& hints,
-                     const std::vector<Model>& pool, Model* out) const;
+                     const std::vector<Model>& pool,
+                     const SolveContext* ctx, Model* out) const;
 
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
   std::vector<Model> reuse_models_;  // most recent at the back

@@ -410,14 +410,7 @@ struct PropagateSearch {
       const int size = FilterDomain(v, c);
       if (size == 0) return false;
       if (size == 1) {
-        int value = 0;
-        for (int w = 0; w < 4; ++w) {
-          if (domain[v].bits[w] != 0) {
-            value = w * 64 + __builtin_ctzll(domain[v].bits[w]);
-            break;
-          }
-        }
-        if (!Assign(v, value)) return false;
+        if (!Assign(v, static_cast<int>(domain[v].Lowest()))) return false;
         for (const std::size_t c2 : var_constraints[v]) {
           if (unassigned_count[c2] == 1) queue.push_back(c2);
         }

@@ -3,9 +3,11 @@
 // every invariant green, the deterministic report serializes
 // byte-identically across two same-seed runs, and the gen_seed request
 // field survives the serve wire format. The worker/daemon legs need the
-// built CLI binary and are exercised by `octopocs soak` in CI instead.
+// built CLI binary and are exercised by `octopocs soak` in CI instead;
+// only the daemon leg's start-up failure path is covered here.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 
@@ -80,6 +82,29 @@ TEST(SoakTest, DisabledLegsAreReportedSkippedNotSilentlyDropped) {
   EXPECT_EQ(report.legs_run, 0);
   EXPECT_EQ(report.skipped_legs.size(), 7u);
   EXPECT_TRUE(report.ok());
+}
+
+TEST(SoakTest, DaemonThatExitsAtOnceIsReportedWithoutWaiting) {
+  // A worker binary that cannot be executed exits (status 127) before it
+  // could listen. The readiness wait must notice the dead child at once
+  // rather than poll for the socket until its 10 s timeout.
+  gen::SoakOptions o = InProcessOptions(5, 2);
+  ASSERT_FALSE(o.workdir.empty());
+  o.chaos = false;
+  o.run_batch = false;
+  o.run_chain = false;
+  o.run_serve = false;
+  o.run_daemon = true;
+  o.worker_binary = o.workdir + "/no-such-octopocs";
+  const auto start = std::chrono::steady_clock::now();
+  const gen::SoakReport report = gen::RunSoak(o);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0],
+            "daemon: exited (status 127) before listening");
+  EXPECT_LT(seconds, 1.0);
 }
 
 TEST(SoakTest, GenSeedSurvivesServeWireFormat) {

@@ -14,11 +14,19 @@
 // recorded nogood only ever prunes provably model-free subtrees, so a
 // store warmed by arbitrary earlier queries can never change a later
 // query's status or first model.
+//
+// The split cases hold ByteSolver's unary-only fast path (DESIGN.md
+// §10.1) to the monolithic GetSolverBackend(k).Solve of the same system:
+// same status and the same model on every definitive answer, with or
+// without a SolveContext, with hints inside and outside the domains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "symex/expr.h"
@@ -33,20 +41,21 @@ ExprRef InputEq(std::uint32_t off, std::uint64_t val) {
   return MakeBinOp(vm::Op::kCmpEq, In(off), MakeConst(val));
 }
 
-/// Random expression tree over a small variable window. Mixes arithmetic,
+/// Random expression tree over the input bytes `vars`. Mixes arithmetic,
 /// bitwise ops, comparisons, negation, and byte extraction so the
 /// compiled-program evaluator in the propagate core is exercised on every
 /// node kind the tree-walking Eval handles.
-ExprRef RandomExpr(std::mt19937& rng, int depth, std::uint32_t num_vars) {
+ExprRef RandomExprOn(std::mt19937& rng, int depth,
+                     const std::vector<std::uint32_t>& vars) {
   if (depth <= 0 || rng() % 4 == 0) {
-    return rng() % 2 == 0 ? In(rng() % num_vars)
+    return rng() % 2 == 0 ? In(vars[rng() % vars.size()])
                           : MakeConst(rng() % 256);
   }
   switch (rng() % 12) {
     case 0:
-      return MakeNot(RandomExpr(rng, depth - 1, num_vars));
+      return MakeNot(RandomExprOn(rng, depth - 1, vars));
     case 1:
-      return MakeExtract(RandomExpr(rng, depth - 1, num_vars),
+      return MakeExtract(RandomExprOn(rng, depth - 1, vars),
                          static_cast<std::uint8_t>(rng() % 2));
     default: {
       static const vm::Op kOps[] = {
@@ -55,10 +64,17 @@ ExprRef RandomExpr(std::mt19937& rng, int depth, std::uint32_t num_vars) {
           vm::Op::kCmpLtU, vm::Op::kCmpLeU,
       };
       return MakeBinOp(kOps[rng() % (sizeof(kOps) / sizeof(kOps[0]))],
-                       RandomExpr(rng, depth - 1, num_vars),
-                       RandomExpr(rng, depth - 1, num_vars));
+                       RandomExprOn(rng, depth - 1, vars),
+                       RandomExprOn(rng, depth - 1, vars));
     }
   }
+}
+
+/// RandomExprOn over the window of bytes 0..num_vars-1.
+ExprRef RandomExpr(std::mt19937& rng, int depth, std::uint32_t num_vars) {
+  std::vector<std::uint32_t> vars(num_vars);
+  std::iota(vars.begin(), vars.end(), 0u);
+  return RandomExprOn(rng, depth, vars);
 }
 
 /// A random system: mostly comparison constraints (so a decent fraction
@@ -249,6 +265,254 @@ TEST(BackendDifferential, BudgetEdgesNeverContradict) {
     if (b.status == SolveStatus::kSat) {
       EXPECT_TRUE(Satisfies(cs, b.model)) << "round " << round;
     }
+  }
+}
+
+// -- Unary-only split vs the monolithic search -------------------------------
+
+/// A non-constant random constraint over `vars` (folded constants are
+/// redrawn: ByteSolver screens them before either path sees them).
+ExprRef RandomConstraintOn(std::mt19937& rng,
+                           const std::vector<std::uint32_t>& vars) {
+  for (;;) {
+    ExprRef e = RandomExprOn(rng, 1 + static_cast<int>(rng() % 2), vars);
+    if (!e->IsConst()) return e;
+  }
+}
+
+/// A unary constraint on byte `v`: a bound, an exclusion, or a random
+/// expression tree over `v` alone.
+ExprRef RandomUnary(std::mt19937& rng, std::uint32_t v) {
+  const ExprRef k = MakeConst(rng() % 256);
+  switch (rng() % 4) {
+    case 0:
+      return MakeBinOp(vm::Op::kCmpLeU, In(v), k);
+    case 1:
+      return MakeBinOp(vm::Op::kCmpLeU, k, In(v));
+    case 2:
+      return MakeBinOp(vm::Op::kCmpNe, In(v), k);
+    default:
+      return RandomConstraintOn(rng, {v});
+  }
+}
+
+/// A system that interleaves unary-only bytes with coupled clusters:
+/// bytes are spread over a sparse, shuffled offset window; up to two
+/// clusters of 2-3 bytes each get one guaranteed multi-byte constraint,
+/// random extra constraints and unary constraints of their own; every
+/// other byte gets 0-3 unary constraints only.
+std::vector<ExprRef> RandomSplitSystem(std::mt19937& rng) {
+  std::vector<std::uint32_t> offsets(4 + rng() % 9);
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    offsets[i] = static_cast<std::uint32_t>(3 * i + rng() % 3);
+  }
+  std::shuffle(offsets.begin(), offsets.end(), rng);
+  std::vector<ExprRef> cs;
+  std::size_t pos = 0;
+  const std::size_t clusters = rng() % 3;
+  for (std::size_t k = 0; k < clusters; ++k) {
+    const std::size_t size = 2 + rng() % 2;
+    if (pos + size > offsets.size()) break;
+    const std::vector<std::uint32_t> cluster(offsets.begin() + pos,
+                                             offsets.begin() + pos + size);
+    pos += size;
+    static const vm::Op kCouple[] = {vm::Op::kCmpLeU, vm::Op::kCmpNe,
+                                     vm::Op::kCmpEq};
+    cs.push_back(MakeBinOp(kCouple[rng() % 3],
+                           MakeBinOp(vm::Op::kAdd, In(cluster[0]),
+                                     In(cluster[1])),
+                           MakeConst(rng() % 400)));
+    for (std::size_t j = rng() % 3; j > 0; --j) {
+      cs.push_back(RandomConstraintOn(rng, cluster));
+    }
+    for (std::size_t j = rng() % 3; j > 0; --j) {
+      cs.push_back(RandomUnary(rng, cluster[rng() % size]));
+    }
+  }
+  for (; pos < offsets.size(); ++pos) {
+    for (std::size_t j = rng() % 4; j > 0; --j) {
+      cs.push_back(RandomUnary(rng, offsets[pos]));
+    }
+  }
+  std::shuffle(cs.begin(), cs.end(), rng);
+  // The preprocessed form both paths see: interning may have built the
+  // same node twice, and ByteSolver collapses duplicates first.
+  std::vector<ExprRef> unique;
+  for (const ExprRef& c : cs) {
+    if (std::none_of(unique.begin(), unique.end(),
+                     [&](const ExprRef& u) { return u == c; })) {
+      unique.push_back(c);
+    }
+  }
+  return unique;
+}
+
+/// Hints for about half of the constrained bytes: a value every unary
+/// constraint on the byte accepts (inside its domain) when one exists
+/// and a coin says so, else a random value (often outside).
+Model SplitHints(std::mt19937& rng, const std::vector<ExprRef>& cs) {
+  SortedSmallSet<std::uint32_t> vars;
+  for (const ExprRef& c : cs) vars.UnionWith(FreeVars(c));
+  Model hints;
+  for (const std::uint32_t v : vars) {
+    if (rng() % 2 == 0) continue;
+    std::vector<std::uint8_t> inside;
+    for (unsigned value = 0; value < 256; ++value) {
+      const Model probe = {{v, static_cast<std::uint8_t>(value)}};
+      bool ok = true;
+      for (const ExprRef& c : cs) {
+        if (FreeVars(c).size() == 1 && FreeVars(c).Contains(v) &&
+            Eval(c, probe) == 0) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok) inside.push_back(static_cast<std::uint8_t>(value));
+    }
+    hints[v] = !inside.empty() && rng() % 2 == 0
+                   ? inside[rng() % inside.size()]
+                   : static_cast<std::uint8_t>(rng() % 256);
+  }
+  return hints;
+}
+
+constexpr SolverBackendKind kAllBackends[] = {SolverBackendKind::kBacktrack,
+                                              SolverBackendKind::kPropagate,
+                                              SolverBackendKind::kPortfolio};
+
+/// ByteSolver (split) against the monolithic backend on one system.
+void ExpectSplitMatchesMonolithic(const std::vector<ExprRef>& cs,
+                                  const SolverOptions& base,
+                                  const std::string& what) {
+  for (const SolverBackendKind kind : kAllBackends) {
+    SolverOptions options = base;
+    options.backend = kind;
+    const SolveResult mono = GetSolverBackend(kind).Solve(cs, options);
+    const SolveResult split = ByteSolver(options).SolveWith(cs);
+    const std::string where = what + " backend " + SolverBackendName(kind);
+    if (!Definitive(mono.status)) continue;
+    ASSERT_EQ(split.status, mono.status) << where;
+    if (mono.status == SolveStatus::kSat) {
+      EXPECT_TRUE(SameAssignment(cs, split.model, mono.model)) << where;
+      EXPECT_EQ(split.model, mono.model) << where;
+    }
+    if (kind == SolverBackendKind::kBacktrack) {
+      EXPECT_LE(split.steps, mono.steps)
+          << where << ": the residue search is a sub-walk of the whole one";
+    }
+  }
+}
+
+TEST(SplitDifferential, RandomMixedSystemsMatchTheMonolithicSearch) {
+  std::mt19937 rng(13013);
+  int sat = 0, unsat = 0, with_ctx = 0;
+  for (int round = 0; round < 400; ++round) {
+    InternScope intern;
+    const std::vector<ExprRef> cs = RandomSplitSystem(rng);
+    SolverOptions base;
+    base.hints = SplitHints(rng, cs);
+    // Half the rounds carry a context that applied a random part of the
+    // unary constraints — the rest are probed, like the speculative
+    // branch constraint a feasibility query adds.
+    SolveContext ctx;
+    if (rng() % 2 == 0) {
+      for (const ExprRef& c : cs) {
+        if (rng() % 4 != 0) ctx.Apply(c);
+      }
+      base.context = &ctx;
+      ++with_ctx;
+    }
+    ExpectSplitMatchesMonolithic(cs, base, "round " + std::to_string(round));
+    if (HasFatalFailure()) return;
+    const SolveResult r = ByteSolver(base).SolveWith(cs);
+    if (r.status == SolveStatus::kSat) {
+      ++sat;
+      EXPECT_TRUE(Satisfies(cs, r.model)) << "round " << round;
+    } else if (r.status == SolveStatus::kUnsat) {
+      ++unsat;
+    }
+  }
+  EXPECT_GE(sat, 100);
+  EXPECT_GE(unsat, 40);
+  EXPECT_GE(with_ctx, 150);
+}
+
+TEST(SplitDifferential, WipedUnaryOnlyDomainIsUnsatWithoutSearch) {
+  InternScope intern;
+  const std::vector<ExprRef> cs = {
+      MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(3)),
+      MakeBinOp(vm::Op::kCmpLtU, MakeConst(5), In(0)),
+      MakeBinOp(vm::Op::kCmpEq, MakeBinOp(vm::Op::kAdd, In(1), In(2)),
+                MakeConst(10)),
+  };
+  for (const bool use_ctx : {false, true}) {
+    SolveContext ctx;
+    SolverOptions base;
+    if (use_ctx) {
+      for (const ExprRef& c : cs) ctx.Apply(c);
+      ASSERT_TRUE(ctx.known_unsat());
+      base.context = &ctx;
+    }
+    ExpectSplitMatchesMonolithic(cs, base, use_ctx ? "ctx" : "no ctx");
+    for (const SolverBackendKind kind : kAllBackends) {
+      base.backend = kind;
+      const SolveResult r = ByteSolver(base).SolveWith(cs);
+      EXPECT_EQ(r.status, SolveStatus::kUnsat) << SolverBackendName(kind);
+      EXPECT_EQ(r.steps, 0u) << SolverBackendName(kind);
+    }
+  }
+}
+
+TEST(SplitDifferential, UnappliedUnaryConstraintIsProbed) {
+  // The context folded in[0] <= 200; the query adds in[0] >= 100, which
+  // it has not. A hint of 50 is inside the context's domain but not the
+  // query's, so only a probe of the unapplied constraint gives 100.
+  InternScope intern;
+  const ExprRef applied = MakeBinOp(vm::Op::kCmpLeU, In(0), MakeConst(200));
+  const ExprRef speculative =
+      MakeBinOp(vm::Op::kCmpLeU, MakeConst(100), In(0));
+  const ExprRef coupled = MakeBinOp(
+      vm::Op::kCmpLtU, In(1), MakeBinOp(vm::Op::kAdd, In(2), MakeConst(1)));
+  SolveContext ctx;
+  ctx.Apply(applied);
+  const std::vector<ExprRef> cs = {applied, coupled, speculative};
+  for (const std::uint8_t hint : {std::uint8_t{50}, std::uint8_t{150}}) {
+    SolverOptions base;
+    base.context = &ctx;
+    base.hints = {{0, hint}, {1, 9}};
+    ExpectSplitMatchesMonolithic(cs, base, "hint " + std::to_string(hint));
+    for (const SolverBackendKind kind : kAllBackends) {
+      base.backend = kind;
+      const SolveResult r = ByteSolver(base).SolveWith(cs);
+      ASSERT_EQ(r.status, SolveStatus::kSat) << SolverBackendName(kind);
+      EXPECT_EQ(r.model.at(0), hint == 50 ? 100 : 150)
+          << SolverBackendName(kind);
+      EXPECT_EQ(r.model.at(1), 9) << SolverBackendName(kind);
+    }
+  }
+}
+
+TEST(SplitDifferential, ZeroVariableConstraintStaysInTheResidue) {
+  // Make* folds every variable-free expression to a constant, so a
+  // non-constant node with no free byte only arises when built by hand.
+  // It must not be mistaken for a unary constraint (it names no byte)
+  // and goes to the backend with the coupled part, unchanged.
+  InternScope intern;
+  auto zero_var = std::make_shared<Expr>();
+  zero_var->kind = ExprKind::kBinOp;
+  zero_var->op = vm::Op::kCmpEq;
+  zero_var->lhs = MakeConst(1);
+  zero_var->rhs = MakeConst(1);
+  ASSERT_TRUE(FreeVars(zero_var).empty());
+  const std::vector<ExprRef> with_residue = {
+      zero_var, InputEq(0, 5),
+      MakeBinOp(vm::Op::kCmpNe, In(1), In(2))};
+  const std::vector<ExprRef> only_unary = {zero_var, InputEq(0, 5)};
+  for (const auto* cs : {&with_residue, &only_unary}) {
+    ExpectSplitMatchesMonolithic(*cs, {}, "zero-var");
+    const SolveResult r = ByteSolver().SolveWith(*cs);
+    ASSERT_EQ(r.status, SolveStatus::kSat);
+    EXPECT_EQ(r.model.at(0), 5);
   }
 }
 
