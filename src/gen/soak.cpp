@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -400,7 +401,11 @@ void RunServeLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
     return;
   }
 
-  std::atomic<bool> done{false};
+  std::vector<ServedSlot> slots(gen.size());
+  std::mutex mu;  // guards slots, answered and done
+  std::condition_variable progress;
+  int answered = 0;  // pairs the clients are finished with, either way
+  bool done = false;
   std::atomic<int> retries{0};
   std::atomic<int> armed{0};
   std::thread chaos;
@@ -409,23 +414,26 @@ void RunServeLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
       // Cycle through every fault site — admission, disk-store and
       // response writes included — on a seeded schedule. Each Arm is
       // one-shot, so this is a stream of isolated infrastructure
-      // failures the daemon must absorb per-request.
+      // failures the daemon must absorb per-request. The schedule
+      // advances with the clients' progress — one fault at the start,
+      // one more per answered pair — not with the wall clock, so a
+      // request meets the same faults however fast the build runs; a
+      // timer arms many more per request in a slow (sanitized) build
+      // and can contain a slow pair on every one of its resends.
       Rng rng(o.seed ^ 0x9e3779b97f4a7c15ULL);
-      int i = 0;
-      while (!done.load(std::memory_order_relaxed)) {
+      std::unique_lock<std::mutex> lock(mu);
+      for (int i = 0;; ++i) {
+        progress.wait(lock, [&] { return done || answered >= i; });
+        if (done) break;
         const auto site = static_cast<support::FaultSite>(
             static_cast<std::size_t>(i) % support::kFaultSiteCount);
         support::fault::Arm(site, rng.Below(3));
         armed.fetch_add(1, std::memory_order_relaxed);
-        ++i;
-        std::this_thread::sleep_for(std::chrono::milliseconds(3));
       }
       support::fault::Disarm();
     });
   }
 
-  std::vector<ServedSlot> slots(gen.size());
-  std::mutex mu;
   std::vector<std::thread> clients;
   std::atomic<std::size_t> next{0};
   const unsigned nclients = std::max(1u, o.jobs);
@@ -435,17 +443,26 @@ void RunServeLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= gen.size()) return;
         core::VerificationReport r;
-        if (ServeOnePair(socket_path, o, gen[i], &r, &retries)) {
+        const bool served = ServeOnePair(socket_path, o, gen[i], &r, &retries);
+        {
           std::lock_guard<std::mutex> lock(mu);
-          ++slots[i].count;
-          slots[i].verdict = r.verdict;
-          slots[i].line = CanonicalLine(gen[i], r);
+          ++answered;
+          if (served) {
+            ++slots[i].count;
+            slots[i].verdict = r.verdict;
+            slots[i].line = CanonicalLine(gen[i], r);
+          }
         }
+        progress.notify_all();
       }
     });
   }
   for (std::thread& t : clients) t.join();
-  done.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  progress.notify_all();
   if (chaos.joinable()) chaos.join();
   support::fault::Disarm();
   report->server_sheds += server.stats().shed;

@@ -207,6 +207,10 @@ struct SymExecutor::Run {
     /// solver.h), so private caches only cost duplicate work, never
     /// divergent answers.
     SolverCache cache;
+    /// The run's solver options wired to `cache`'s nogood store; each
+    /// query points `context` at the asking state, so no query copies
+    /// the options (and their per-byte hints).
+    SolverOptions query;
     /// Naive-BFS bookkeeping: after a two-way fork the continuing state
     /// goes back to the queue (breadth-first interleaving).
     bool requeue_current = false;
@@ -347,40 +351,35 @@ struct SymExecutor::Run {
                                MakeConst(val)));
   }
 
-  /// Satisfiability of `s`'s path constraints through the worker's
-  /// incremental cache: exact memo → subsumption → certified model
-  /// reuse → fresh search, which answers the unary-only bytes from the
-  /// state's own solve context and searches only the coupled residue
-  /// (see SolverCache::Solve and ByteSolver::SolveWith).
+  /// Satisfiability of `s`'s path condition, which its solve context
+  /// holds normalized, through the worker's cache: exact memo → context
+  /// wipeout → certified model reuse → residue search, which answers the
+  /// unary-only bytes from the context's domains and searches only the
+  /// coupled residue (see SolverCache::Solve).
   SolveResult SolveConstraints(WorkerCtx& w, SymState& s) {
     ++w.effects;
-    SolverOptions query = opts.solver;
-    query.context = &s.solve_ctx;
-    SolveResult r = w.cache.Solve(s.constraints, s.pinned, query,
-                                  &s.solve_ctx);
+    w.query.context = &s.solve_ctx;
+    SolveResult r = w.cache.Solve(s.solve_ctx, s.pinned, w.query);
     // Cache hits report zero steps, so each real search is counted once.
     solver_steps_total.fetch_add(r.steps, std::memory_order_relaxed);
     return r;
   }
 
   /// Satisfiability of the state's path condition extended with one
-  /// speculative branch constraint. The constraint is pushed for the
-  /// query and popped again; the state itself is untouched (Solve
-  /// never writes UNSAT facts back into the context, and a SAT model
-  /// it notes is a valid certificate for any later query). When the
-  /// surviving direction is then committed via AddConstraint, the next
-  /// query over this state repeats this exact key — so the check both
-  /// prunes infeasible forks before they execute and turns downstream
-  /// concretization/finalization queries into exact cache hits.
+  /// speculative branch constraint, which the query carries beside the
+  /// context; the state itself is untouched (Solve never writes UNSAT
+  /// facts back into the context, and a SAT model it notes is a valid
+  /// certificate for any later query). When the surviving direction is
+  /// then committed via AddConstraint, the next query over this state
+  /// repeats this exact key — so the check both prunes infeasible forks
+  /// before they execute and turns downstream concretization/
+  /// finalization queries into exact cache hits.
   SolveStatus BranchFeasible(WorkerCtx& w, SymState& s,
                              const ExprRef& constraint) {
     ++w.effects;
-    s.constraints.push_back(constraint);
-    SolverOptions query = opts.solver;
-    query.context = &s.solve_ctx;
-    const SolveResult r = w.cache.Solve(s.constraints, s.pinned, query,
-                                        &s.solve_ctx);
-    s.constraints.pop_back();
+    w.query.context = &s.solve_ctx;
+    const SolveResult r =
+        w.cache.Solve(s.solve_ctx, s.pinned, w.query, &constraint);
     solver_steps_total.fetch_add(r.steps, std::memory_order_relaxed);
     return r.status;
   }
@@ -989,7 +988,7 @@ struct SymExecutor::Run {
     // committing or forking. Successive checks over one state extend a
     // shared prefix, which is the workload the incremental cache is
     // built for (exact hits on the committed direction, model reuse on
-    // the extensions, subsumption on UNSAT prefixes). Naive
+    // the extensions, the wipeout on UNSAT prefixes). Naive
     // mode keeps the fork-everything behaviour — the Table IV baseline
     // measures exactly that state blow-up.
     if (directed) {
@@ -1389,6 +1388,8 @@ struct SymExecutor::Run {
       workers.resize(1);
       WorkerCtx& w = workers[0];
       w.cancel = cancel;
+      w.query = opts.solver;
+      w.query.nogoods = &w.cache.nogoods();
       PushState(w, std::move(initial));
       while (!worklist.empty() && !finished) {
         std::string why;
@@ -1422,6 +1423,8 @@ struct SymExecutor::Run {
         workers[i].id = i;
         workers[i].cancel = cancel;
         workers[i].deque = deques[i].get();
+        workers[i].query = opts.solver;
+        workers[i].query.nogoods = &workers[i].cache.nogoods();
       }
       PushState(workers[0], std::move(initial));
       std::vector<std::thread> threads;

@@ -65,8 +65,8 @@ struct SymexStats {
   std::uint64_t solver_cache_misses = 0;
   /// Per-mechanism breakdown of solver_cache_hits (see SolverCache):
   /// exact sequence memo, certified model reuse, and UNSAT-subset
-  /// subsumption. (A slice-hit counter existed through PR 7; the slicing
-  /// tier was retired after sitting at zero corpus-wide, so the field is
+  /// subsumption (the solve context's wipeout). (The slicing tier was
+  /// retired after sitting at zero corpus-wide, so its hit counter is
   /// gone rather than forever-zero.)
   std::uint64_t solver_exact_hits = 0;
   std::uint64_t solver_model_reuse_hits = 0;

@@ -157,8 +157,9 @@ void CollectInputs(const ExprRef& expr, SortedSmallSet<std::uint32_t>& out);
 /// Free input-byte variables of `expr`, computed bottom-up once per node
 /// and cached on it (Expr::vars_cache), so repeated queries over a
 /// hash-consed DAG are O(1) amortized. The returned reference lives as
-/// long as the node does. The solver's cache tiers and its split of
-/// unary-only bytes from the coupled residue read it on every query.
+/// long as the node does. SolveContext::Apply classifies each appended
+/// constraint by it, and ByteSolver's from-scratch split reads it per
+/// constraint.
 const SortedSmallSet<std::uint32_t>& FreeVars(const ExprRef& expr);
 
 /// Number of nodes (diagnostics / memory-cost estimation).

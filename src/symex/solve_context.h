@@ -1,22 +1,32 @@
-// Incremental per-state solve context (the "prefix state" of queries).
+// Incremental per-state solve context: the normalized path condition.
 //
 // Every solver query the executor issues is the state's own path
-// condition, and sibling states share a long constraint prefix. The
-// dominant per-query setup cost in the byte-CSP solver is domain
-// filtering of *unary* constraints — 256 evaluations per constraint per
-// query. A SolveContext folds each unary constraint into a per-variable
-// 256-bit domain once, when the constraint is added to the state, and is
-// forked with the state via copy-on-write: a branch copies two shared
-// pointers instead of redoing the prefix's filtering work, and the
-// solver seeds its search domains from the context instead of
-// re-evaluating the applied constraints.
+// condition, optionally extended by one speculative branch constraint,
+// and sibling states share a long constraint prefix. A SolveContext
+// holds everything the solver cache derives from that prefix, updated
+// once per appended constraint (Apply) and forked with the state via
+// copy-on-write:
 //
-// Determinism contract: the context is a pure function of the *set* of
-// constraints applied to it (domain intersection commutes), and seeding
-// is engineered to produce bit-identical search behavior to filtering
-// the same constraints from scratch — so cached solver results stay pure
-// functions of the constraint sequence whether or not a context (or
-// whose context) accelerated them. See DESIGN.md §10.
+//   - the normalized sequence: first occurrences of the applied nodes,
+//     constants dropped, with its running FNV-1a hash (the exact-memo
+//     key) and node membership;
+//   - per input byte, a 256-bit domain folding every unary constraint on
+//     it (256 evaluations once, here, instead of once per query), plus
+//     the positions of those constraints in the sequence;
+//   - the multi-variable ("coupled") constraints and the bytes they
+//     mention;
+//   - the concat-equality decomposition of every applied node (the byte
+//     equalities ByteSolver derives from "field == K"), done once.
+//
+// A query then costs its new constraint, the coupled residue and the
+// model, not the path (DESIGN.md §10.3). The context also keeps the
+// state's reuse pool of recent models.
+//
+// Determinism contract: the context is a pure function of the applied
+// sequence, and every answer it accelerates is bit-identical to
+// normalizing the full sequence from scratch — so cached solver results
+// stay pure functions of the constraint sequence whoever's context
+// accelerated them. See DESIGN.md §10.
 //
 // A wiped-out domain sets known_unsat() but deliberately does NOT kill
 // the state eagerly: the executor discovers unsatisfiability at its next
@@ -28,6 +38,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "symex/cow.h"
@@ -76,6 +87,23 @@ inline void FilterUnary(const ExprRef& constraint, std::uint32_t var,
   }
 }
 
+/// If `constraint` is CmpEq(concat, K) — a little-endian byte
+/// concatenation of distinct input bytes, the shape LoadWide builds —
+/// appends the per-byte equalities to `out` (or a constant-false when K
+/// has bits outside the lanes) and returns true. The solver's key
+/// propagation rule: "magic/field == K" becomes unit propagation instead
+/// of a 256^n search.
+bool DecomposeConcatEquality(const ExprRef& constraint,
+                             std::vector<ExprRef>* out);
+
+/// One step of the FNV-1a hash over node addresses that keys the exact
+/// memo.
+inline std::uint64_t FnvStep(std::uint64_t h, const Expr* node) {
+  h ^= reinterpret_cast<std::uintptr_t>(node);
+  return h * 0x100000001b3ull;
+}
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
 class SolveContext {
  public:
   struct VarEntry {
@@ -84,45 +112,66 @@ class SolveContext {
     /// address so the solver can subtract them from a query's unary set
     /// with a binary search.
     std::vector<const Expr*> applied;
+    /// Positions in sequence() of the same constraints, ascending.
+    std::vector<std::uint32_t> at;
   };
   using DomainMap = std::map<std::uint32_t, VarEntry>;
+  /// A derived byte equality and its index in the decomposition order
+  /// (the order ByteSolver appends derived equalities in).
+  using Derived = std::pair<std::uint32_t, ExprRef>;
 
-  /// Folds `constraint` into the per-variable domains when it is unary
-  /// (mentions exactly one input byte); otherwise a no-op. Idempotent
-  /// per node. Precondition for use as a solve accelerator: every
-  /// constraint applied here is part of every query the context is
-  /// passed to (the executor applies exactly the state's own path
-  /// constraints).
-  void Apply(const ExprRef& constraint) {
-    const SortedSmallSet<std::uint32_t>& vars = FreeVars(constraint);
-    if (vars.size() != 1) return;
-    const std::uint32_t var = *vars.begin();
-    const Expr* node = constraint.get();
-    if (const VarEntry* existing = Find(var)) {
-      if (std::binary_search(existing->applied.begin(),
-                             existing->applied.end(), node)) {
-        return;
-      }
-    }
-    VarEntry& entry = domains_.mut()[var];
-    FilterUnary(constraint, var, &entry.domain);
-    entry.applied.insert(
-        std::lower_bound(entry.applied.begin(), entry.applied.end(), node),
-        node);
-    if (entry.domain.None()) known_unsat_ = true;
-  }
+  /// Appends `constraint` to the path condition. A node already applied
+  /// only re-asserts itself: the normalized sequence, and every answer,
+  /// keeps its first occurrence. Precondition for use as a solve
+  /// context: the constraints applied here are exactly the path
+  /// condition the queries are about (the executor applies the state's
+  /// own constraints, in order).
+  void Apply(const ExprRef& constraint);
+
+  /// Whether `node` (non-constant) is already in the sequence.
+  bool Contains(const ExprRef& node) const;
 
   /// Filtered domain for `var`, or nullptr when no unary constraint
   /// mentions it yet.
   const VarEntry* Find(std::uint32_t var) const {
-    const DomainMap& map = domains_.get();
+    const DomainMap& map = path_->domains;
     const auto it = map.find(var);
     return it == map.end() ? nullptr : &it->second;
   }
 
+  /// Every byte some applied unary constraint mentions.
+  const DomainMap& domains() const { return path_->domains; }
+  /// The normalized sequence: applied nodes, first occurrences, in order.
+  const std::vector<ExprRef>& sequence() const { return path_->sequence; }
+  /// FNV-1a over sequence()'s node addresses.
+  std::uint64_t hash() const { return hash_; }
+  /// Positions in sequence() of the nodes with zero or several free
+  /// variables, ascending.
+  const std::vector<std::uint32_t>& coupled() const { return path_->coupled; }
+  /// Sorted bytes the multi-variable constraints mention.
+  const std::vector<std::uint32_t>& coupled_vars() const {
+    return path_->coupled_vars;
+  }
+  /// Derived byte equalities on `var`, in decomposition order, or
+  /// nullptr.
+  const std::vector<Derived>* DerivedOn(std::uint32_t var) const {
+    const auto& map = path_->derived;
+    const auto it = map.find(var);
+    return it == map.end() ? nullptr : &it->second;
+  }
+  /// Number of derived equalities so far (the next one's index).
+  std::uint32_t derived_count() const { return path_->derived_count; }
+
   /// Some applied constraint admits no value for its variable: every
   /// superset query is unsatisfiable.
   bool known_unsat() const { return known_unsat_; }
+  /// A constant-false constraint was applied: every query is trivially
+  /// unsatisfiable.
+  bool has_false() const { return has_false_; }
+  /// Some applied concat equality decomposed to constant-false (its
+  /// constant has bits outside the lanes): the fresh search answers
+  /// kUnsat without searching.
+  bool derived_false() const { return derived_false_; }
 
   /// Per-state reuse pool of models that satisfied this state's past
   /// queries (newest last, deduplicated, capped). Keeping the pool on
@@ -140,25 +189,30 @@ class SolveContext {
 
   const std::vector<Model>& recent_models() const { return models_.get(); }
 
-  std::size_t FootprintBytes() const {
-    std::size_t bytes = 0;
-    const DomainMap& map = domains_.get();
-    for (const auto& [var, entry] : map) {
-      bytes += sizeof(var) + sizeof(VarEntry) + 48 +
-               entry.applied.capacity() * sizeof(const Expr*);
-    }
-    bytes /= domains_.owners();
-    std::size_t model_bytes = 0;
-    for (const Model& m : models_.get()) model_bytes += m.size() * 48;
-    return bytes + model_bytes / models_.owners();
-  }
+  std::size_t FootprintBytes() const;
 
  private:
   static constexpr std::size_t kMaxModels = 4;
 
-  Cow<DomainMap> domains_;
+  /// Everything Apply maintains that grows with the path, shared with
+  /// forked siblings until one of them appends.
+  struct Path {
+    DomainMap domains;
+    std::vector<ExprRef> sequence;
+    std::vector<std::uint32_t> coupled;
+    /// Node addresses of `coupled`, sorted: their membership test.
+    std::vector<const Expr*> coupled_nodes;
+    std::vector<std::uint32_t> coupled_vars;
+    std::map<std::uint32_t, std::vector<Derived>> derived;
+    std::uint32_t derived_count = 0;
+  };
+
+  Cow<Path> path_;
   Cow<std::vector<Model>> models_;
+  std::uint64_t hash_ = kFnvBasis;
   bool known_unsat_ = false;
+  bool has_false_ = false;
+  bool derived_false_ = false;
 };
 
 }  // namespace octopocs::symex

@@ -32,275 +32,6 @@ const char* SolverBackendName(SolverBackendKind kind) {
   return "?";
 }
 
-std::uint64_t SolverCache::HashKey(const std::vector<ExprRef>& constraints) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over node addresses
-  for (const ExprRef& c : constraints) {
-    h ^= reinterpret_cast<std::uintptr_t>(c.get());
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-bool SolverCache::KeyEquals(const std::vector<const Expr*>& key,
-                            const std::vector<ExprRef>& constraints) {
-  if (key.size() != constraints.size()) return false;
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    if (key[i] != constraints[i].get()) return false;
-  }
-  return true;
-}
-
-const SolverCache::Entry* SolverCache::FindExact(
-    const std::vector<ExprRef>& constraints) const {
-  const auto it = buckets_.find(HashKey(constraints));
-  if (it == buckets_.end()) return nullptr;
-  for (const Entry& entry : it->second) {
-    if (KeyEquals(entry.key, constraints)) return &entry;
-  }
-  return nullptr;
-}
-
-bool SolverCache::TryModelReuse(const std::vector<ExprRef>& constraints,
-                                const Model& pins, const Model& hints,
-                                const std::vector<Model>& pool,
-                                const SolveContext* ctx, Model* out) const {
-  // Assemble a candidate assignment over exactly the constrained
-  // variables and *evaluate* the full constraint set under it — a reuse
-  // hit is a certificate, never a guess, and kUnsat can never come from
-  // this path. Per variable the candidate takes the pinned value (the
-  // constraints force it), else the cached model's, else the hint — the
-  // value a fresh hint-guided search would try first. The first
-  // candidate uses no cached model at all, which captures the common
-  // case of a guiding path the original PoC bytes already satisfy; then
-  // recent models, newest first.
-  //
-  // The unary constraints a SolveContext has folded are certified by one
-  // domain test per variable instead: every constraint the context
-  // applied is a member of the query (the executor's contract), so its
-  // domain for a variable is exactly the set of values all of them
-  // accept. Only the remaining constraints are evaluated.
-  std::vector<std::uint32_t> vars;
-  std::vector<const ExprRef*> evaluated;
-  for (const ExprRef& c : constraints) {
-    const SortedSmallSet<std::uint32_t>& fv = FreeVars(c);
-    vars.insert(vars.end(), fv.begin(), fv.end());
-    const SolveContext::VarEntry* entry =
-        ctx != nullptr && fv.size() == 1 ? ctx->Find(*fv.begin()) : nullptr;
-    if (entry == nullptr ||
-        !std::binary_search(entry->applied.begin(), entry->applied.end(),
-                            c.get())) {
-      evaluated.push_back(&c);
-    }
-  }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-  std::vector<const ByteDomain*> domains(vars.size(), nullptr);
-  if (ctx != nullptr) {
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      if (const SolveContext::VarEntry* entry = ctx->Find(vars[i])) {
-        domains[i] = &entry->domain;
-      }
-    }
-  }
-  for (std::size_t i = pool.size() + 1; i-- > 0;) {
-    const Model* reuse = i == 0 ? nullptr : &pool[i - 1];
-    const auto pick = [&](std::uint32_t var) -> const std::uint8_t* {
-      for (const Model* source : {&pins, reuse, &hints}) {
-        if (source == nullptr) continue;
-        if (const auto it = source->find(var); it != source->end()) {
-          return &it->second;
-        }
-      }
-      return nullptr;  // absent: evaluates as 0, the solver default
-    };
-    Model candidate;
-    bool satisfied = true;
-    for (std::size_t v = 0; v < vars.size() && satisfied; ++v) {
-      const std::uint8_t* value = pick(vars[v]);
-      if (value != nullptr) {
-        candidate.emplace_hint(candidate.end(), vars[v], *value);
-      }
-      satisfied = domains[v] == nullptr ||
-                  domains[v]->Test(value != nullptr ? *value : 0);
-    }
-    for (std::size_t c = 0; c < evaluated.size() && satisfied; ++c) {
-      satisfied = Eval(*evaluated[c], candidate) != 0;
-    }
-    if (satisfied) {
-      *out = std::move(candidate);
-      return true;
-    }
-  }
-  return false;
-}
-
-const SolveResult* SolverCache::Lookup(
-    const std::vector<ExprRef>& constraints, const Model& pins,
-    const Model& hints) {
-  if (const Entry* entry = FindExact(constraints)) {
-    ++stats_.hits;
-    ++stats_.exact_hits;
-    return &entry->result;
-  }
-  Model candidate;
-  if (TryModelReuse(constraints, pins, hints, reuse_models_, nullptr,
-                    &candidate)) {
-    ++stats_.hits;
-    ++stats_.model_reuse_hits;
-    reuse_scratch_.status = SolveStatus::kSat;
-    reuse_scratch_.model = std::move(candidate);
-    reuse_scratch_.steps = 0;
-    return &reuse_scratch_;
-  }
-  ++stats_.misses;
-  return nullptr;
-}
-
-const SolveResult& SolverCache::StoreEntry(
-    const std::vector<ExprRef>& constraints, SolveResult result) {
-  Entry entry;
-  entry.key.reserve(constraints.size());
-  for (const ExprRef& c : constraints) entry.key.push_back(c.get());
-  entry.result = std::move(result);
-  auto& bucket = buckets_[HashKey(constraints)];
-  bucket.push_back(std::move(entry));
-  ++entries_;
-  return bucket.back().result;
-}
-
-void SolverCache::RememberUnsat(const std::vector<ExprRef>& constraints) {
-  if (unsat_cores_.size() >= kMaxUnsatCores) return;
-  std::vector<const Expr*> core;
-  core.reserve(constraints.size());
-  for (const ExprRef& c : constraints) core.push_back(c.get());
-  std::sort(core.begin(), core.end());
-  core.erase(std::unique(core.begin(), core.end()), core.end());
-  unsat_cores_.push_back(std::move(core));
-}
-
-const SolveResult& SolverCache::Insert(
-    const std::vector<ExprRef>& constraints, SolveResult result) {
-  const SolveResult& stored = StoreEntry(constraints, std::move(result));
-  if (stored.status == SolveStatus::kSat) {
-    reuse_models_.push_back(stored.model);
-    if (reuse_models_.size() > kMaxReuseModels) {
-      reuse_models_.erase(reuse_models_.begin());
-    }
-  } else if (stored.status == SolveStatus::kUnsat) {
-    RememberUnsat(constraints);
-  }
-  return stored;
-}
-
-SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
-                               const Model& pins,
-                               const SolverOptions& options,
-                               SolveContext* ctx) {
-  // Normalize the way a fresh ByteSolver would: constant-true
-  // constraints vanish, constant-false poisons the system, duplicate
-  // nodes collapse under pointer identity. The normalized sequence is
-  // the cache key, so a re-asserted pin cannot split the memo.
-  SolveResult out;
-  std::vector<ExprRef> constraints;
-  constraints.reserve(raw.size());
-  {
-    std::unordered_set<const Expr*> seen;
-    for (const ExprRef& c : raw) {
-      if (c->IsConst()) {
-        if (c->value == 0) {
-          out.status = SolveStatus::kUnsat;
-          return out;  // trivial; not worth a cache entry or a counter
-        }
-        continue;
-      }
-      if (seen.insert(c.get()).second) constraints.push_back(c);
-    }
-  }
-  if (constraints.empty()) {
-    out.status = SolveStatus::kSat;
-    return out;  // vacuously satisfiable; not a cacheable query
-  }
-
-  // 1. Exact memo. Steps report the work done by *this* call, so a hit
-  // contributes zero to the caller's search-effort accounting.
-  if (const Entry* entry = FindExact(constraints)) {
-    ++stats_.hits;
-    ++stats_.exact_hits;
-    out = entry->result;
-    out.steps = 0;
-    if (out.status == SolveStatus::kSat && ctx != nullptr) {
-      ctx->NoteModel(out.model);
-    }
-    return out;
-  }
-
-  // 2. Subsumption. The context's wiped-out domain is an UNSAT unary
-  // subset of this very query (every applied constraint is a query
-  // member by the executor's contract); likewise any remembered UNSAT
-  // core contained in the query proves it UNSAT. Verdict-only — no
-  // model, no search.
-  if (ctx != nullptr && ctx->known_unsat()) {
-    ++stats_.hits;
-    ++stats_.subsumption_hits;
-    out.status = SolveStatus::kUnsat;
-    return out;
-  }
-  std::vector<const Expr*> sorted_key;
-  sorted_key.reserve(constraints.size());
-  for (const ExprRef& c : constraints) sorted_key.push_back(c.get());
-  std::sort(sorted_key.begin(), sorted_key.end());
-  for (const auto& core : unsat_cores_) {
-    if (core.size() <= sorted_key.size() &&
-        std::includes(sorted_key.begin(), sorted_key.end(), core.begin(),
-                      core.end())) {
-      ++stats_.hits;
-      ++stats_.subsumption_hits;
-      out.status = SolveStatus::kUnsat;
-      return out;
-    }
-  }
-
-  // 3. Certified model reuse, from the state's own pool when a context
-  // is supplied (pure per state), else the global most-recent pool.
-  Model candidate;
-  const std::vector<Model>& pool =
-      ctx != nullptr ? ctx->recent_models() : reuse_models_;
-  if (TryModelReuse(constraints, pins, options.hints, pool, ctx,
-                    &candidate)) {
-    ++stats_.hits;
-    ++stats_.model_reuse_hits;
-    out.status = SolveStatus::kSat;
-    out.model = std::move(candidate);
-    if (ctx != nullptr) ctx->NoteModel(out.model);
-    return out;
-  }
-
-  // 4. Fresh search through the configured backend, which also taps the
-  // cache's cross-query nogood store — the sub-branch analogue of the
-  // UNSAT-core tier above.
-  SolverOptions fresh_options = options;
-  fresh_options.context = ctx;
-  fresh_options.nogoods = &nogoods_;
-  ByteSolver solver(fresh_options);
-  out = solver.SolveWith(constraints);
-  ++stats_.misses;
-
-  if (out.status == SolveStatus::kSat || out.status == SolveStatus::kUnsat) {
-    StoreEntry(constraints, out);
-    if (out.status == SolveStatus::kUnsat) {
-      RememberUnsat(constraints);
-    } else if (ctx != nullptr) {
-      ctx->NoteModel(out.model);
-    } else {
-      reuse_models_.push_back(out.model);
-      if (reuse_models_.size() > kMaxReuseModels) {
-        reuse_models_.erase(reuse_models_.begin());
-      }
-    }
-  }
-  return out;
-}
-
 void ByteSolver::Add(ExprRef expr) {
   // A constant constraint either disappears or poisons the system.
   if (expr->IsConst() && expr->value != 0) return;
@@ -317,76 +48,32 @@ void ByteSolver::Pin(std::uint32_t offset, std::uint8_t value) {
 
 namespace {
 
-/// Tries to read `expr` as a little-endian byte concatenation — the
-/// shape LoadWide builds: or(or(b0, shl(b1,8)), shl(b2,16))... Returns
-/// lane→input-offset on success. This powers the key propagation rule:
-/// an equality between a concatenation and a constant decomposes into
-/// per-byte pins, which turns the dominant "magic/field == K" constraint
-/// from a 256^n search into unit propagation.
-bool AsByteConcat(const ExprRef& expr, unsigned shift,
-                  std::map<unsigned, std::uint32_t>* lanes) {
-  switch (expr->kind) {
-    case ExprKind::kInput: {
-      if (shift % 8 != 0) return false;
-      const unsigned lane = shift / 8;
-      if (lanes->count(lane) != 0) return false;
-      (*lanes)[lane] = expr->offset;
-      return true;
-    }
-    case ExprKind::kBinOp:
-      if (expr->op == vm::Op::kOr) {
-        return AsByteConcat(expr->lhs, shift, lanes) &&
-               AsByteConcat(expr->rhs, shift, lanes);
-      }
-      if (expr->op == vm::Op::kShl && expr->rhs->IsConst()) {
-        return AsByteConcat(expr->lhs,
-                            shift + static_cast<unsigned>(expr->rhs->value),
-                            lanes);
-      }
-      return false;
-    default:
-      return false;
-  }
+/// The value a complete search keeps for a byte whose domain is fixed
+/// before its first decision: the hint when the domain allows it, else
+/// the lowest allowed value. Precondition: !domain.None().
+std::uint8_t FirstValue(std::uint32_t var, const ByteDomain& domain,
+                        const Model& hints) {
+  const auto hint = hints.find(var);
+  return hint != hints.end() && domain.Test(hint->second)
+             ? hint->second
+             : static_cast<std::uint8_t>(domain.Lowest());
 }
 
-/// If `constraint` is CmpEq(concat, K), appends the per-byte equalities
-/// to `out` (or a constant-false when K has bits outside the lanes).
-/// Returns true when a decomposition happened.
-bool DecomposeConcatEquality(const ExprRef& constraint,
-                             std::vector<ExprRef>* out) {
-  if (constraint->kind != ExprKind::kBinOp ||
-      constraint->op != vm::Op::kCmpEq) {
-    return false;
-  }
-  ExprRef concat, konst;
-  if (constraint->rhs->IsConst()) {
-    concat = constraint->lhs;
-    konst = constraint->rhs;
-  } else if (constraint->lhs->IsConst()) {
-    concat = constraint->rhs;
-    konst = constraint->lhs;
+/// Sends the coupled residue to the configured backend and merges the
+/// unary-only bytes' values into a SAT model.
+SolveResult SearchResidue(const std::vector<ExprRef>& residue, Model decided,
+                          const SolverOptions& options) {
+  SolveResult result;
+  if (residue.empty()) {
+    // The one cancellation poll a backend makes on an empty system.
+    support::CancelToken cancel = options.cancel;
+    result.status =
+        cancel.ShouldStop() ? SolveStatus::kCancelled : SolveStatus::kSat;
   } else {
-    return false;
+    result = GetSolverBackend(options.backend).Solve(residue, options);
   }
-  std::map<unsigned, std::uint32_t> lanes;
-  if (!AsByteConcat(concat, 0, &lanes) || lanes.empty()) return false;
-  std::uint64_t covered = 0;
-  SortedSmallSet<std::uint32_t> seen;
-  for (const auto& [lane, offset] : lanes) {
-    if (lane >= 8 || seen.Contains(offset)) return false;
-    seen.Insert(offset);
-    covered |= 0xFFull << (8 * lane);
-  }
-  if ((konst->value & ~covered) != 0) {
-    out->push_back(MakeConst(0));  // impossible: bits outside any lane
-    return true;
-  }
-  for (const auto& [lane, offset] : lanes) {
-    out->push_back(MakeBinOp(
-        vm::Op::kCmpEq, MakeInput(offset),
-        MakeConst((konst->value >> (8 * lane)) & 0xFF)));
-  }
-  return true;
+  if (result.status == SolveStatus::kSat) result.model.merge(decided);
+  return result;
 }
 
 /// Solves `all` (the preprocessed system) one independence component at
@@ -451,24 +138,10 @@ SolveResult SolveByComponents(const std::vector<ExprRef>& all,
       result.status = SolveStatus::kUnsat;
       return result;
     }
-    const auto hint = options.hints.find(var);
-    decided.emplace_hint(
-        decided.end(), var,
-        hint != options.hints.end() && domain.Test(hint->second)
-            ? hint->second
-            : static_cast<std::uint8_t>(domain.Lowest()));
+    decided.emplace_hint(decided.end(), var,
+                         FirstValue(var, domain, options.hints));
   }
-
-  if (residue.empty()) {
-    // The one cancellation poll a backend makes on an empty system.
-    support::CancelToken cancel = options.cancel;
-    result.status =
-        cancel.ShouldStop() ? SolveStatus::kCancelled : SolveStatus::kSat;
-  } else {
-    result = GetSolverBackend(options.backend).Solve(residue, options);
-  }
-  if (result.status == SolveStatus::kSat) result.model.merge(decided);
-  return result;
+  return SearchResidue(residue, std::move(decided), options);
 }
 
 bool Definitive(SolveStatus s) {
@@ -610,6 +283,326 @@ SolveResult ByteSolver::SolveWith(const std::vector<ExprRef>& extra) const {
     }
   }
   return SolveByComponents(all, options_);
+}
+
+// -- SolverCache -------------------------------------------------------------
+
+namespace {
+
+/// The query's node-address key: the context's sequence, then `extra`.
+std::vector<const Expr*> KeyOf(const SolveContext& path, const ExprRef* extra) {
+  std::vector<const Expr*> key;
+  key.reserve(path.sequence().size() + 1);
+  for (const ExprRef& c : path.sequence()) key.push_back(c.get());
+  if (extra != nullptr) key.push_back(extra->get());
+  return key;
+}
+
+bool KeyEquals(const std::vector<const Expr*>& key, const SolveContext& path,
+               const ExprRef* extra) {
+  const std::vector<ExprRef>& seq = path.sequence();
+  if (key.size() != seq.size() + (extra != nullptr ? 1 : 0)) return false;
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    if (key[i] != seq[i].get()) return false;
+  }
+  return extra == nullptr || key.back() == extra->get();
+}
+
+/// Candidate value of `var`: pinned > reused model > hint; nullptr when
+/// none has one (the byte evaluates as 0, the solver default).
+const std::uint8_t* Pick(std::uint32_t var, const Model& pins,
+                         const Model* reuse, const Model& hints) {
+  for (const Model* source : {&pins, reuse, &hints}) {
+    if (source == nullptr) continue;
+    if (const auto it = source->find(var); it != source->end()) {
+      return &it->second;
+    }
+  }
+  return nullptr;
+}
+
+/// A miss: what ByteSolver::SolveWith answers for the context's sequence
+/// plus `extra` from scratch, built from what the context maintains.
+/// SolveWith's preprocessed system is the sequence followed by every
+/// node's derived byte equalities; its split answers each byte no
+/// multi-variable constraint mentions from its domain and searches the
+/// rest in that order. Here the coupled bytes come from the context, the
+/// residue is assembled from the positions it recorded for them, and the
+/// unary-only bytes read their domains directly. A derived equality on
+/// an unary-only byte comes from a single-lane unary constraint on that
+/// byte, which accepts exactly the same values, so it is already folded.
+SolveResult SolveResidue(const SolveContext& path, const ExprRef* extra,
+                         const SolverOptions& options) {
+  support::fault::MaybeThrow(support::FaultSite::kSolverStep);
+  SolveResult result;
+  std::vector<ExprRef> extra_derived;
+  if (extra != nullptr) DecomposeConcatEquality(*extra, &extra_derived);
+  bool derived_false = path.derived_false();
+  for (const ExprRef& d : extra_derived) derived_false |= d->IsConst();
+  if (derived_false) {
+    result.status = SolveStatus::kUnsat;
+    return result;
+  }
+
+  const std::size_t extra_arity =
+      extra != nullptr ? FreeVars(*extra).size() : 0;
+  const bool extra_unary = extra_arity == 1;
+  const std::uint32_t extra_var =
+      extra_unary ? *FreeVars(*extra).begin() : 0;
+  const std::vector<std::uint32_t>* coupled = &path.coupled_vars();
+  std::vector<std::uint32_t> widened;
+  if (extra_arity > 1) {
+    const SortedSmallSet<std::uint32_t>& vars = FreeVars(*extra);
+    std::set_union(coupled->begin(), coupled->end(), vars.begin(), vars.end(),
+                   std::back_inserter(widened));
+    coupled = &widened;
+  }
+  const auto is_coupled = [&](std::uint32_t var) {
+    return std::binary_search(coupled->begin(), coupled->end(), var);
+  };
+
+  // Residue slots keyed by SolveWith's order: sequence positions first
+  // (the speculative node is position n), then derived equalities by
+  // decomposition index.
+  const std::vector<ExprRef>& seq = path.sequence();
+  const std::uint64_t n = seq.size();
+  constexpr std::uint64_t kDerived = 1ull << 32;
+  std::vector<std::pair<std::uint64_t, const ExprRef*>> slots;
+  for (const std::uint32_t pos : path.coupled()) {
+    slots.emplace_back(pos, &seq[pos]);
+  }
+  if (extra != nullptr && !extra_unary) slots.emplace_back(n, extra);
+  for (const std::uint32_t var : *coupled) {
+    if (const SolveContext::VarEntry* entry = path.Find(var)) {
+      for (const std::uint32_t pos : entry->at) {
+        slots.emplace_back(pos, &seq[pos]);
+      }
+    }
+    if (extra_unary && extra_var == var) slots.emplace_back(n, extra);
+    if (const auto* derived = path.DerivedOn(var)) {
+      for (const auto& [index, d] : *derived) {
+        slots.emplace_back(kDerived + index, &d);
+      }
+    }
+  }
+  for (std::size_t k = 0; k < extra_derived.size(); ++k) {
+    if (is_coupled(*FreeVars(extra_derived[k]).begin())) {
+      slots.emplace_back(kDerived + path.derived_count() + k,
+                         &extra_derived[k]);
+    }
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<ExprRef> residue;
+  residue.reserve(slots.size());
+  for (const auto& slot : slots) residue.push_back(*slot.second);
+
+  Model decided;
+  bool extra_decided = !extra_unary || is_coupled(extra_var);
+  for (const auto& [var, entry] : path.domains()) {
+    if (is_coupled(var)) continue;
+    ByteDomain domain = entry.domain;
+    if (extra_unary && var == extra_var) {
+      FilterUnary(*extra, var, &domain);
+      extra_decided = true;
+    }
+    if (domain.None()) {
+      result.status = SolveStatus::kUnsat;
+      return result;
+    }
+    decided.emplace_hint(decided.end(), var,
+                         FirstValue(var, domain, options.hints));
+  }
+  if (!extra_decided) {  // a byte only the speculative node mentions
+    ByteDomain domain;
+    FilterUnary(*extra, extra_var, &domain);
+    if (domain.None()) {
+      result.status = SolveStatus::kUnsat;
+      return result;
+    }
+    decided.emplace(extra_var, FirstValue(extra_var, domain, options.hints));
+  }
+  return SearchResidue(residue, std::move(decided), options);
+}
+
+}  // namespace
+
+bool SolverCache::TryModelReuse(const SolveContext& path, const ExprRef* extra,
+                                const Model& pins, const Model& hints,
+                                Model* out) const {
+  // Each candidate assigns every byte the query mentions and must
+  // satisfy the whole query — a reuse hit is a certificate, never a
+  // guess, and kUnsat can never come from this path. Per byte the
+  // candidate takes the pinned value (the constraints force it), else
+  // the cached model's, else the hint: the value a fresh hint-guided
+  // search would try first. Candidates are the state's recent models,
+  // newest first, then none, which captures a guiding path the original
+  // PoC bytes already satisfy.
+  //
+  // Every constraint the context folded is a query member, so a byte's
+  // domain is exactly the set of values all its unary constraints
+  // accept: one test certifies them. A pinned byte has the same value in
+  // every candidate, so it is tested once here; the coupled constraints
+  // and the speculative one are evaluated per candidate.
+  struct Tested {
+    std::uint32_t var;
+    const ByteDomain* domain;
+    bool hint_ok;  // the value when the candidate's model lacks the byte
+  };
+  std::vector<Tested> tested;
+  bool hints_ok = true;
+  auto pin = pins.begin();
+  for (const auto& [var, entry] : path.domains()) {
+    while (pin != pins.end() && pin->first < var) ++pin;
+    if (pin != pins.end() && pin->first == var) {
+      if (!entry.domain.Test(pin->second)) return false;
+      continue;
+    }
+    const auto hint = hints.find(var);
+    const bool ok =
+        entry.domain.Test(hint != hints.end() ? hint->second : 0);
+    tested.push_back({var, &entry.domain, ok});
+    hints_ok = hints_ok && ok;
+  }
+
+  std::vector<const ExprRef*> evaluated;
+  const std::vector<ExprRef>& seq = path.sequence();
+  for (const std::uint32_t pos : path.coupled()) evaluated.push_back(&seq[pos]);
+  std::vector<std::uint32_t> eval_vars = path.coupled_vars();
+  if (extra != nullptr) {
+    evaluated.push_back(extra);
+    const SortedSmallSet<std::uint32_t>& vars = FreeVars(*extra);
+    std::vector<std::uint32_t> merged;
+    std::set_union(eval_vars.begin(), eval_vars.end(), vars.begin(),
+                   vars.end(), std::back_inserter(merged));
+    eval_vars = std::move(merged);
+  }
+
+  const std::vector<Model>& pool = path.recent_models();
+  for (std::size_t i = pool.size() + 1; i-- > 0;) {
+    const Model* reuse = i == 0 ? nullptr : &pool[i - 1];
+    bool satisfied = hints_ok;
+    if (reuse != nullptr) {
+      satisfied = true;
+      auto it = reuse->begin();
+      for (std::size_t t = 0; t < tested.size() && satisfied; ++t) {
+        while (it != reuse->end() && it->first < tested[t].var) ++it;
+        satisfied = it != reuse->end() && it->first == tested[t].var
+                        ? tested[t].domain->Test(it->second)
+                        : tested[t].hint_ok;
+      }
+    }
+    if (!satisfied) continue;
+    Model eval_model;
+    for (const std::uint32_t var : eval_vars) {
+      if (const std::uint8_t* value = Pick(var, pins, reuse, hints)) {
+        eval_model.emplace_hint(eval_model.end(), var, *value);
+      }
+    }
+    for (std::size_t c = 0; c < evaluated.size() && satisfied; ++c) {
+      satisfied = Eval(*evaluated[c], eval_model) != 0;
+    }
+    if (!satisfied) continue;
+
+    // The winner covers exactly the bytes the query mentions.
+    std::vector<std::uint32_t> vars;
+    vars.reserve(path.domains().size() + eval_vars.size());
+    for (const auto& [var, entry] : path.domains()) vars.push_back(var);
+    const auto mid = static_cast<std::ptrdiff_t>(vars.size());
+    vars.insert(vars.end(), eval_vars.begin(), eval_vars.end());
+    std::inplace_merge(vars.begin(), vars.begin() + mid, vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    Model candidate;
+    for (const std::uint32_t var : vars) {
+      if (const std::uint8_t* value = Pick(var, pins, reuse, hints)) {
+        candidate.emplace_hint(candidate.end(), var, *value);
+      }
+    }
+    *out = std::move(candidate);
+    return true;
+  }
+  return false;
+}
+
+SolveResult SolverCache::Solve(SolveContext& path, const Model& pins,
+                               const SolverOptions& options,
+                               const ExprRef* speculative) {
+  // Normalize the speculative node the way Apply normalizes the path:
+  // a constant either vanishes or poisons the query, and a node already
+  // in the sequence changes nothing.
+  SolveResult out;
+  const ExprRef* extra = speculative;
+  if (extra != nullptr && (*extra)->IsConst()) {
+    if ((*extra)->value == 0) {
+      out.status = SolveStatus::kUnsat;
+      return out;  // trivial; not worth a cache entry or a counter
+    }
+    extra = nullptr;
+  }
+  if (path.has_false()) {
+    out.status = SolveStatus::kUnsat;
+    return out;
+  }
+  if (extra != nullptr && path.Contains(*extra)) extra = nullptr;
+  if (path.sequence().empty() && extra == nullptr) {
+    out.status = SolveStatus::kSat;
+    return out;  // vacuously satisfiable; not a cacheable query
+  }
+
+  // 1. Exact memo. Steps report the work done by *this* call, so a hit
+  // contributes zero to the caller's search-effort accounting.
+  std::uint64_t hash = path.hash();
+  if (extra != nullptr) hash = FnvStep(hash, extra->get());
+  if (const auto bucket = buckets_.find(hash); bucket != buckets_.end()) {
+    for (const Entry& entry : bucket->second) {
+      if (!KeyEquals(entry.key, path, extra)) continue;
+      ++stats_.hits;
+      ++stats_.exact_hits;
+      out = entry.result;
+      out.steps = 0;
+      if (out.status == SolveStatus::kSat) path.NoteModel(out.model);
+      return out;
+    }
+  }
+
+  // 2. Wipeout: an applied unary constraint set with no model is an
+  // UNSAT subset of this very query. Verdict-only — no model, no search.
+  if (path.known_unsat()) {
+    ++stats_.hits;
+    ++stats_.subsumption_hits;
+    out.status = SolveStatus::kUnsat;
+    return out;
+  }
+
+  // 3. Certified model reuse from the state's own pool.
+  Model candidate;
+  if (TryModelReuse(path, extra, pins, options.hints, &candidate)) {
+    ++stats_.hits;
+    ++stats_.model_reuse_hits;
+    out.status = SolveStatus::kSat;
+    out.model = std::move(candidate);
+    path.NoteModel(out.model);
+    return out;
+  }
+
+  // 4. Residue search through the configured backend, which also taps
+  // the cache's cross-query nogood store.
+  const SolverOptions* search = &options;
+  SolverOptions wired;
+  if (options.context != &path || options.nogoods != &nogoods_) {
+    wired = options;
+    wired.context = &path;
+    wired.nogoods = &nogoods_;
+    search = &wired;
+  }
+  out = SolveResidue(path, extra, *search);
+  ++stats_.misses;
+
+  if (out.status == SolveStatus::kSat || out.status == SolveStatus::kUnsat) {
+    buckets_[hash].push_back(Entry{KeyOf(path, extra), out});
+    if (out.status == SolveStatus::kSat) path.NoteModel(out.model);
+  }
+  return out;
 }
 
 }  // namespace octopocs::symex

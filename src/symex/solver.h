@@ -94,9 +94,8 @@ const char* SolverBackendName(SolverBackendKind kind);
 /// assignment extends L: every total extension would satisfy D and L,
 /// contradicting the recorded proof. That subset applicability is what
 /// lets nogoods survive across the re-solves P3 issues as it extends a
-/// path's constraint prefix at each ep encounter — exactly like the
-/// UNSAT-core subsumption tier, but at sub-branch instead of whole-query
-/// granularity.
+/// path's constraint prefix at each ep encounter: UNSAT-subset
+/// subsumption at sub-branch granularity.
 ///
 /// Pruned subtrees are provably model-free, so recording and consulting
 /// nogoods cannot change which model a complete search finds first, nor
@@ -207,41 +206,44 @@ class ByteSolver {
 
 /// Memoizes ByteSolver verdicts across the repeated feasibility and
 /// concretization queries a directed executor issues along shared path
-/// prefixes. Three mechanisms, all sound by construction:
+/// prefixes. A query is a state's SolveContext — its normalized path
+/// condition, maintained incrementally as constraints are appended —
+/// plus at most one speculative branch constraint. The tiers, in order,
+/// all sound by construction:
 ///
-///   exact memo    keyed by the exact sequence of constraint node
-///                 addresses. Forked states copy their constraint
-///                 vector but share the pointed-to nodes, and interning
-///                 canonicalizes structurally-equal nodes, so an exact
-///                 hit is *provably* the same query; it may return any
-///                 verdict, including kUnsat.
-///   subsumption   a cached UNSAT *subset* proves any superset query
-///                 UNSAT (adding constraints never makes an
-///                 unsatisfiable system satisfiable). Verdict-only: no
-///                 model is fabricated, and SAT can never come from
-///                 this path, so a SAT verdict can never be flipped.
+///   exact memo    keyed by the normalized sequence of constraint node
+///                 addresses: the context's running hash, extended by the
+///                 speculative node; keys are compared only on a bucket
+///                 hit. Forked states share the pointed-to nodes and
+///                 interning canonicalizes structurally-equal nodes, so
+///                 an exact hit is *provably* the same query; it may
+///                 return any verdict, including kUnsat.
+///   wipeout       the context's known_unsat(): an applied unary
+///                 constraint set admits no value for some byte, an UNSAT
+///                 subset of every query over this context.
+///                 Verdict-only: no model is fabricated, and SAT can
+///                 never come from this path.
 ///   model reuse   a path extends its prefix by appending constraints,
 ///                 so the sequence key misses — but a model that
 ///                 satisfied the prefix often still satisfies the
-///                 extension. The cache overlays the caller's pinned
-///                 bytes onto each candidate model and *evaluates* the
-///                 full constraint set under it; only a model that
-///                 certifies every constraint is returned, as kSat.
-///                 Unary constraints the SolveContext already folded
-///                 are certified by one domain test per byte instead
-///                 of one evaluation each; the rest are evaluated.
-///                 kUnsat can never come from reuse, so a cached
-///                 verdict can never contradict a fresh solve. With a
-///                 SolveContext the candidate pool is the state's own
-///                 (pure, forked-with-the-state) pool; without one, a
-///                 small global most-recent pool.
+///                 extension. Each candidate (the state's recent models,
+///                 newest first, then none) overlays the caller's pinned
+///                 bytes and the hints, and is certified against the full
+///                 query: folded unary constraints by one domain test per
+///                 unpinned byte (pinned bytes are tested once per
+///                 query), the coupled constraints and the speculative
+///                 one by evaluation. Only the winner is materialized as
+///                 a Model. kUnsat can never come from reuse.
+///   residue       a miss: the unary-only bytes are answered from the
+///                 context's domains and only the coupled residue — the
+///                 coupled constraints, the unary and derived byte
+///                 equalities on the bytes they touch, in ByteSolver's
+///                 preprocessed order — goes to the configured backend.
 ///
-/// A miss goes to ByteSolver, which answers the unary-only bytes from
-/// the context and searches only the coupled residue. (Per-slice
-/// *caching* over independence slices was retired: slice hits had been
-/// zero across the corpus, because every query a slice could answer is
-/// answered earlier in the tier order. The split that remains caches
-/// nothing; it only keeps the unary-only bytes out of the search.)
+/// Every status, first model, tier and step count equals what
+/// normalizing the full sequence from scratch and running the same tiers
+/// over ByteSolver::SolveWith answers (the IncrementalContextDifferential
+/// tests hold the two side by side).
 ///
 /// The cache additionally owns the cross-query NogoodStore the
 /// propagate backend feeds, scoped like everything else here to one
@@ -253,8 +255,8 @@ class ByteSolver {
 class SolverCache {
  public:
   struct Stats {
-    /// Totals: hits + misses == Solve()/Lookup() queries (trivially
-    /// constant-false queries short-circuit before counting).
+    /// Totals: hits + misses == Solve() queries (trivially constant
+    /// queries short-circuit before counting).
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     /// Per-mechanism breakdown of `hits`.
@@ -263,36 +265,25 @@ class SolverCache {
     std::uint64_t subsumption_hits = 0;
   };
 
-  /// Front door for the executor: answers `constraints` (the caller's
-  /// path condition) through, in order: exact memo → context wipeout /
-  /// UNSAT-subset subsumption → certified model reuse → fresh search
-  /// through the configured backend. kSat/kUnsat results are cached;
-  /// kUnknown is not (a larger budget could improve it) and kCancelled
-  /// never is. The result is a pure function of (constraints, hints) —
-  /// see DESIGN.md §10 — except that subsumption may answer kUnsat
-  /// where an uncached search would have exhausted its step budget.
-  SolveResult Solve(const std::vector<ExprRef>& constraints,
-                    const Model& pins, const SolverOptions& options,
-                    SolveContext* ctx);
-
-  /// Cached result for `constraints`, or nullptr. `pins` are the
-  /// caller's already-forced byte values (each also present as an
-  /// equality constraint) and `hints` the solver's value-ordering
-  /// preferences; candidates are assembled per constrained variable
-  /// with priority pins > cached model > hints, mirroring what a fresh
-  /// hint-guided search would try first. The returned model covers only
-  /// variables the constraints mention — the same contract a fresh
-  /// SolveResult has. The pointer is valid until the next Lookup call.
-  const SolveResult* Lookup(const std::vector<ExprRef>& constraints,
-                            const Model& pins, const Model& hints);
-
-  /// Stores `result`; returns the stored copy. SAT models additionally
-  /// join the reuse pool.
-  const SolveResult& Insert(const std::vector<ExprRef>& constraints,
-                            SolveResult result);
+  /// Answers the path condition `path` holds, extended by `speculative`
+  /// when non-null, through exact memo → wipeout → certified model reuse
+  /// → residue search. `pins` are the caller's forced byte values (each
+  /// also an applied equality) and `options.hints` the solver's value
+  /// preferences: a reuse candidate takes, per byte, pins > cached model
+  /// > hints, mirroring what a fresh hint-guided search tries first, and
+  /// covers only the bytes the query mentions. The search runs with
+  /// `options` as given when `options.context` is `&path` and
+  /// `options.nogoods` is nogoods() — the executor wires its per-worker
+  /// options once — and on a wired copy otherwise. kSat/kUnsat results
+  /// are memoized; kUnknown is not (a larger budget could improve it) and
+  /// kCancelled never is. SAT models join the context's reuse pool. The
+  /// result is a pure function of (sequence, speculative, pins, hints) —
+  /// see DESIGN.md §10.
+  SolveResult Solve(SolveContext& path, const Model& pins,
+                    const SolverOptions& options,
+                    const ExprRef* speculative = nullptr);
 
   const Stats& stats() const { return stats_; }
-  std::size_t size() const { return entries_; }
 
   /// Nogoods recorded by fresh propagate-backend solves through this
   /// cache; survives across queries for the cache's lifetime.
@@ -304,32 +295,12 @@ class SolverCache {
     SolveResult result;
   };
 
-  /// Most-recent-first reuse pool cap: candidates beyond this are
-  /// evicted, bounding Lookup's evaluation work.
-  static constexpr std::size_t kMaxReuseModels = 16;
-  /// UNSAT-core pool cap for subsumption checks.
-  static constexpr std::size_t kMaxUnsatCores = 64;
-
-  static std::uint64_t HashKey(const std::vector<ExprRef>& constraints);
-  static bool KeyEquals(const std::vector<const Expr*>& key,
-                        const std::vector<ExprRef>& constraints);
-
-  const Entry* FindExact(const std::vector<ExprRef>& constraints) const;
-  const SolveResult& StoreEntry(const std::vector<ExprRef>& constraints,
-                                SolveResult result);
-  void RememberUnsat(const std::vector<ExprRef>& constraints);
-  bool TryModelReuse(const std::vector<ExprRef>& constraints,
+  bool TryModelReuse(const SolveContext& path, const ExprRef* extra,
                      const Model& pins, const Model& hints,
-                     const std::vector<Model>& pool,
-                     const SolveContext* ctx, Model* out) const;
+                     Model* out) const;
 
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
-  std::vector<Model> reuse_models_;  // most recent at the back
-  /// Sorted-unique node-address sets of known-UNSAT constraint systems.
-  std::vector<std::vector<const Expr*>> unsat_cores_;
   NogoodStore nogoods_;
-  SolveResult reuse_scratch_;        // backs model-reuse Lookup returns
-  std::size_t entries_ = 0;
   Stats stats_;
 };
 

@@ -283,8 +283,7 @@ struct PropagateSearch {
     scratch.resize(max_nodes);
 
     // Activate stored nogoods whose dependency constraints are all part
-    // of this query (sorted-set inclusion, the same subsumption test the
-    // cache's UNSAT cores use).
+    // of this query (sorted-set inclusion: UNSAT-subset subsumption).
     query_nodes.reserve(constraints.size());
     for (const ExprRef& c : constraints) query_nodes.push_back(c.get());
     std::sort(query_nodes.begin(), query_nodes.end());
