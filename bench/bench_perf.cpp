@@ -31,18 +31,12 @@
 //               the cache-off baseline. Reports the reuse rate and the
 //               wall-time of the origin-sharing pairs with and without
 //               a warm cache.
-//   backends    solver-backend A/B: the whole corpus under the legacy
-//               backtracker and the raced portfolio, diffed against the
-//               propagate default, plus a pair-3 speedup measurement
-//               (backtrack + no cycle skip, i.e. the PR 7 configuration,
-//               vs. the current default) emitted as pair3_speedup.
 //   cycle skip  one knob off: the default configuration with
 //               core::SetCycleSkip(false) against the default, on pair 3
 //               and on the first generated fuel-loop (CWE-835) pair of
 //               seed 1. Emitted as pair3_cycle_skip_speedup and
 //               fuel_loop_cycle_skip_speedup; both legs' reports must be
-//               byte-identical. Unlike pair3_speedup this credits the
-//               cycle skip alone.
+//               byte-identical (CI also floors the pair-3 speedup at 5x).
 //   pair 14     the Type-III pair that must exhaust its θ loop paths
 //               (most of the corpus's solver work): best-of-N wall time
 //               under the default options and its total solver search
@@ -63,7 +57,6 @@
 #include "core/report_io.h"
 #include "corpus/pairs.h"
 #include "gen/generator.h"
-#include "symex/solver.h"
 #include "symex/state.h"
 
 using namespace octopocs;
@@ -372,62 +365,6 @@ int main(int argc, char** argv) {
   std::printf("  identity:   cached results %s the cache-off baseline\n\n",
               artifact_identical ? "byte-identical to" : "DIVERGED from");
 
-  // -- Solver backend A/B: corpus identity + pair-3 speedup -----------------
-  // The propagation core (the default, measured by the serial leg above)
-  // must be answer-identical to the legacy backtracker and to the raced
-  // portfolio over the whole corpus — the same bar the dispatch modes
-  // are held to.
-  core::PipelineOptions backtrack_opts;
-  core::SetSolverBackend(backtrack_opts, symex::SolverBackendKind::kBacktrack);
-  const auto corpus_backtrack = core::VerifyCorpus(pairs, backtrack_opts, 1);
-  core::PipelineOptions portfolio_opts;
-  core::SetSolverBackend(portfolio_opts, symex::SolverBackendKind::kPortfolio);
-  const auto corpus_portfolio = core::VerifyCorpus(pairs, portfolio_opts, 1);
-  const bool backend_identical = ReportsIdentical(serial, corpus_backtrack) &&
-                                 ReportsIdentical(serial, corpus_portfolio);
-  std::printf("backends:     backtrack/portfolio corpus results %s the "
-              "propagate default\n",
-              backend_identical ? "byte-identical to" : "DIVERGED from");
-
-  // Pair idx 3 is the corpus's long pole. The baseline leg runs it the
-  // way PR 7 shipped — legacy backtracking search, cycle fast-forward
-  // off — against the current default (propagation core, cycle skip
-  // on). Best-of-N wall times so scheduler noise cannot fake a
-  // regression; identity of the two reports is part of the gate.
-  std::size_t pair3 = pairs.size();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairs[i].idx == 3) pair3 = i;
-  }
-  double pair3_baseline_seconds = 0, pair3_optimized_seconds = 0;
-  double pair3_speedup = 0;
-  bool pair3_identical = true;
-  if (pair3 < pairs.size()) {
-    core::PipelineOptions pr7_opts;
-    core::SetSolverBackend(pr7_opts, symex::SolverBackendKind::kBacktrack);
-    core::SetCycleSkip(pr7_opts, false);
-    const int reps = smoke ? 1 : 3;
-    core::VerificationReport baseline_rep, optimized_rep;
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = Clock::now();
-      baseline_rep = core::VerifyPair(pairs[pair3], pr7_opts);
-      const double s = SecondsSince(t0);
-      if (r == 0 || s < pair3_baseline_seconds) pair3_baseline_seconds = s;
-      const auto t1 = Clock::now();
-      optimized_rep = core::VerifyPair(pairs[pair3], opts);
-      const double o = SecondsSince(t1);
-      if (r == 0 || o < pair3_optimized_seconds) pair3_optimized_seconds = o;
-    }
-    pair3_speedup = pair3_optimized_seconds > 0
-                        ? pair3_baseline_seconds / pair3_optimized_seconds
-                        : 0;
-    pair3_identical = ReportsIdentical({baseline_rep}, {optimized_rep});
-    std::printf("pair 3:       %.3f s baseline (backtrack, no cycle skip) | "
-                "%.3f s optimized (%.1fx, reports %s)\n\n",
-                pair3_baseline_seconds, pair3_optimized_seconds,
-                pair3_speedup,
-                pair3_identical ? "byte-identical" : "DIVERGED");
-  }
-
   // -- Pair 14: the solver-bound pair ---------------------------------------
   double pair14_seconds = 0;
   unsigned long long pair14_solver_steps = 0;
@@ -447,8 +384,8 @@ int main(int argc, char** argv) {
   // -- Cycle skip, one knob off ---------------------------------------------
   const int skip_reps = smoke ? 1 : 3;
   SkipLeg pair3_skip;
-  if (pair3 < pairs.size()) {
-    pair3_skip = MeasureCycleSkip(pairs[pair3], skip_reps);
+  for (const corpus::Pair& pair : pairs) {
+    if (pair.idx == 3) pair3_skip = MeasureCycleSkip(pair, skip_reps);
   }
   const SkipLeg fuel_skip = MeasureCycleSkip(FirstFuelLoopPair(), skip_reps);
   for (const auto& [name, leg] :
@@ -508,12 +445,6 @@ int main(int argc, char** argv) {
                  "  \"artifact_identical_to_baseline\": %s,\n"
                  "  \"artifact_shared_origin_baseline_seconds\": %.4f,\n"
                  "  \"artifact_shared_origin_warm_seconds\": %.4f,\n"
-                 "  \"solver_backend\": \"propagate\",\n"
-                 "  \"solver_backend_identical\": %s,\n"
-                 "  \"pair3_baseline_seconds\": %.4f,\n"
-                 "  \"pair3_optimized_seconds\": %.4f,\n"
-                 "  \"pair3_speedup\": %.2f,\n"
-                 "  \"pair3_identical\": %s,\n"
                  "  \"pair3_cycle_skip_off_seconds\": %.4f,\n"
                  "  \"pair3_cycle_skip_on_seconds\": %.4f,\n"
                  "  \"pair3_cycle_skip_speedup\": %.2f,\n"
@@ -534,9 +465,6 @@ int main(int argc, char** argv) {
                  warm_misses, reuse_rate,
                  artifact_identical ? "true" : "false",
                  shared_baseline_seconds, shared_warm_seconds,
-                 backend_identical ? "true" : "false",
-                 pair3_baseline_seconds, pair3_optimized_seconds,
-                 pair3_speedup, pair3_identical ? "true" : "false",
                  pair3_skip.off_seconds, pair3_skip.on_seconds,
                  pair3_skip.speedup, pair3_skip.identical ? "true" : "false",
                  fuel_skip.off_seconds, fuel_skip.on_seconds,
@@ -552,15 +480,6 @@ int main(int argc, char** argv) {
   // reported but not gated — it is a property of the host's core count.
   if (run_parallel && !identical) {
     std::printf("FAIL: parallel verification diverged from serial\n");
-    return 1;
-  }
-  if (!backend_identical) {
-    std::printf("FAIL: solver backends diverged on the corpus\n");
-    return 1;
-  }
-  if (!pair3_identical) {
-    std::printf("FAIL: pair-3 optimized report diverged from the "
-                "baseline leg\n");
     return 1;
   }
   if (!pair3_skip.identical || !fuel_skip.identical) {

@@ -40,10 +40,10 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
                                      bool isolate, std::uint64_t rlimit_mb) {
   std::ostringstream ss;
   // v2: the fuzz-fallback rung entered the verdict-bearing option set.
-  // Unlike the answer-identical backend knobs (dispatch, solver
-  // backend, cycle skip), the rung and its seed/budget can change a
-  // pair's verdict, so they fingerprint — a journal written under a
-  // different fuzz configuration must not be resumed.
+  // Unlike the answer-identical knobs (dispatch, cycle skip), the rung
+  // and its seed/budget can change a pair's verdict, so they
+  // fingerprint — a journal written under a different fuzz
+  // configuration must not be resumed.
   ss << "v2"
      << "|extended=" << extended << "|pairs=" << pair_count
      << "|ctx=" << o.taint.context_aware << "|theta=" << o.symex.theta

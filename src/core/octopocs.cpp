@@ -74,9 +74,7 @@ void HashExec(ArtifactHasher& h, const vm::ExecOptions& exec) {
   // dispatch/fuse/cycle_skip are deliberately excluded: the backends
   // produce byte-identical results, so cached artifacts stay valid
   // across --vm-dispatch modes and with the cycle fast-forward on or
-  // off (the identity tests depend on it). The same policy covers
-  // SolverOptions::backend — no artifact key hashes SolverOptions, so
-  // --solver-backend can never split otherwise identical keys.
+  // off (the identity tests depend on it).
   h.U64(exec.fuel).U64(exec.max_call_depth).U64(exec.heap_limit);
 }
 
@@ -700,11 +698,6 @@ void SetVmDispatch(PipelineOptions& options, vm::DispatchMode mode) {
   options.taint.exec.dispatch = mode;
   options.cfg.exec.dispatch = mode;
   options.verify_exec.dispatch = mode;
-}
-
-void SetSolverBackend(PipelineOptions& options,
-                      symex::SolverBackendKind kind) {
-  options.symex.solver.backend = kind;
 }
 
 void SetCycleSkip(PipelineOptions& options, bool enabled) {

@@ -212,7 +212,8 @@ struct PipelineOptions {
   /// Fallback campaign rng seed — with the execution budget below this
   /// makes the rung's verdict byte-reproducible (the determinism
   /// contract CI gates). Verdict-bearing: enters journal fingerprints
-  /// and serve cache keys, unlike the answer-identical backend knobs.
+  /// and serve cache keys, unlike the answer-identical dispatch and
+  /// cycle-skip knobs.
   std::uint64_t fuzz_seed = 1;
   /// Fallback execution budget (count, not wall clock).
   std::uint64_t fuzz_execs = 200'000;
@@ -243,13 +244,6 @@ struct PipelineOptions {
 /// fallback, so the mode never enters artifact keys or journal
 /// fingerprints.
 void SetVmDispatch(PipelineOptions& options, vm::DispatchMode mode);
-
-/// Selects the CSP search core for every solver query P2/P3 issues
-/// (including retry rungs, which reuse the same options). Backends are
-/// answer-identical — the CLI's --solver-backend flag exists for A/B
-/// verification and perf measurement, so like the dispatch mode the
-/// choice never enters artifact keys or journal fingerprints.
-void SetSolverBackend(PipelineOptions& options, symex::SolverBackendKind kind);
 
 /// Enables or disables exact-cycle fast-forward everywhere the pipeline
 /// executes T or S: the interpreter in every concrete execution (P1

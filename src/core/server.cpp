@@ -204,8 +204,9 @@ void Server::Drain() {
     draining_ = true;
   }
   cv_.notify_all();
-  listener_.Close();  // Accept() returns -2, the accept loop exits
+  stop_accept_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   for (auto& t : worker_threads_) {
     if (t.joinable()) t.join();
   }
@@ -224,11 +225,12 @@ std::size_t Server::queue_size() const {
 }
 
 void Server::AcceptLoop() {
-  for (;;) {
+  // The 100 ms poll bounds how long Drain waits for this loop to see
+  // stop_accept_.
+  while (!stop_accept_.load(std::memory_order_acquire)) {
     const int fd = listener_.Accept(100, options_.interrupt);
-    if (fd == -2) return;  // interrupt tripped or listener closed
-    if (fd == -1) continue;
-    HandleConnection(fd);
+    if (fd == -2) return;  // interrupt tripped
+    if (fd >= 0) HandleConnection(fd);
   }
 }
 

@@ -230,6 +230,10 @@ class Server {
   std::vector<std::thread> worker_threads_;
   std::atomic<bool> started_{false};
   std::atomic<bool> drained_{false};
+  /// Set by Drain before it joins the accept thread. The listener is
+  /// closed only after that join, so the accept loop never polls a
+  /// descriptor number the kernel may already have handed out again.
+  std::atomic<bool> stop_accept_{false};
 };
 
 // -- Client helper ------------------------------------------------------------

@@ -207,9 +207,9 @@ struct SymExecutor::Run {
     /// solver.h), so private caches only cost duplicate work, never
     /// divergent answers.
     SolverCache cache;
-    /// The run's solver options wired to `cache`'s nogood store; each
-    /// query points `context` at the asking state, so no query copies
-    /// the options (and their per-byte hints).
+    /// The run's solver options; each query points `context` at the
+    /// asking state, so no query copies the options (and their per-byte
+    /// hints).
     SolverOptions query;
     /// Naive-BFS bookkeeping: after a two-way fork the continuing state
     /// goes back to the queue (breadth-first interleaving).
@@ -1389,7 +1389,6 @@ struct SymExecutor::Run {
       WorkerCtx& w = workers[0];
       w.cancel = cancel;
       w.query = opts.solver;
-      w.query.nogoods = &w.cache.nogoods();
       PushState(w, std::move(initial));
       while (!worklist.empty() && !finished) {
         std::string why;
@@ -1424,7 +1423,6 @@ struct SymExecutor::Run {
         workers[i].cancel = cancel;
         workers[i].deque = deques[i].get();
         workers[i].query = opts.solver;
-        workers[i].query.nogoods = &workers[i].cache.nogoods();
       }
       PushState(workers[0], std::move(initial));
       std::vector<std::thread> threads;

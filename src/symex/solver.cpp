@@ -1,36 +1,13 @@
 #include "symex/solver.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "support/fault.h"
-#include "symex/solver_backends.h"
 
 namespace octopocs::symex {
-
-std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name) {
-  if (name == "backtrack") return SolverBackendKind::kBacktrack;
-  if (name == "propagate") return SolverBackendKind::kPropagate;
-  if (name == "portfolio") return SolverBackendKind::kPortfolio;
-  return std::nullopt;
-}
-
-const char* SolverBackendName(SolverBackendKind kind) {
-  switch (kind) {
-    case SolverBackendKind::kBacktrack:
-      return "backtrack";
-    case SolverBackendKind::kPropagate:
-      return "propagate";
-    case SolverBackendKind::kPortfolio:
-      return "portfolio";
-  }
-  return "?";
-}
 
 void ByteSolver::Add(ExprRef expr) {
   // A constant constraint either disappears or poisons the system.
@@ -59,18 +36,18 @@ std::uint8_t FirstValue(std::uint32_t var, const ByteDomain& domain,
              : static_cast<std::uint8_t>(domain.Lowest());
 }
 
-/// Sends the coupled residue to the configured backend and merges the
+/// Sends the coupled residue to the search core and merges the
 /// unary-only bytes' values into a SAT model.
 SolveResult SearchResidue(const std::vector<ExprRef>& residue, Model decided,
                           const SolverOptions& options) {
   SolveResult result;
   if (residue.empty()) {
-    // The one cancellation poll a backend makes on an empty system.
+    // The one cancellation poll the search makes on an empty system.
     support::CancelToken cancel = options.cancel;
     result.status =
         cancel.ShouldStop() ? SolveStatus::kCancelled : SolveStatus::kSat;
   } else {
-    result = GetSolverBackend(options.backend).Solve(residue, options);
+    result = BacktrackSearch(residue, options);
   }
   if (result.status == SolveStatus::kSat) result.model.merge(decided);
   return result;
@@ -79,7 +56,7 @@ SolveResult SearchResidue(const std::vector<ExprRef>& residue, Model decided,
 /// Solves `all` (the preprocessed system) one independence component at
 /// a time where that costs nothing: every byte that no multi-variable
 /// constraint mentions is answered here from its domain, and only the
-/// coupled residue goes to the backend (DESIGN.md §10.1).
+/// coupled residue goes to the search (DESIGN.md §10.1).
 ///
 /// A unary-only byte's domain is fixed before the search's first
 /// decision (all its constraints are unary, so the prefilter folds them
@@ -105,7 +82,7 @@ SolveResult SolveByComponents(const std::vector<ExprRef>& all,
   coupled.erase(std::unique(coupled.begin(), coupled.end()), coupled.end());
 
   // Zero-variable constraints stay in the residue with the coupled
-  // ones: whatever the backend does with them, it does unchanged.
+  // ones: whatever the search does with them, it does unchanged.
   std::vector<ExprRef> residue;
   std::vector<std::pair<std::uint32_t, std::size_t>> unary;  // (var, index)
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -144,99 +121,7 @@ SolveResult SolveByComponents(const std::vector<ExprRef>& all,
   return SearchResidue(residue, std::move(decided), options);
 }
 
-bool Definitive(SolveStatus s) {
-  return s == SolveStatus::kSat || s == SolveStatus::kUnsat;
-}
-
-/// Races the propagate core against the backtrack oracle on two
-/// threads; the first definitive answer wins and cancels the loser
-/// through a shared stop flag folded into the racers' CancelTokens.
-///
-/// Determinism (DESIGN.md §15): the cores are answer-identical, so for
-/// any input whose winner is definitive the returned status and model
-/// do not depend on which thread finished first. When neither leg is
-/// definitive the tie-break is fixed — prefer the propagate leg's
-/// status — so kUnknown/kCancelled outcomes are reproducible too (step
-/// counts, a diagnostic, are the only racy field).
-///
-/// The caller's own CancelToken may carry an external kill flag the
-/// racer tokens cannot share (a token folds in exactly one flag), so
-/// the coordinating thread polls the caller's token and trips the race
-/// flag on its behalf.
-class PortfolioBackend final : public SolverBackend {
- public:
-  const char* name() const override { return "portfolio"; }
-
-  SolveResult Solve(const std::vector<ExprRef>& constraints,
-                    const SolverOptions& options) const override {
-    std::atomic<bool> race_done{false};
-    SolverOptions racer = options;
-    racer.cancel =
-        support::CancelToken(options.cancel.deadline(), &race_done);
-
-    std::mutex m;
-    std::condition_variable cv;
-    struct Leg {
-      SolveResult result;
-      bool finished = false;
-    };
-    Leg legs[2];  // 0 = propagate, 1 = backtrack
-
-    const auto run = [&](int i) {
-      SolveResult r;
-      try {
-        r = (i == 0 ? PropagateBackendInstance() : BacktrackBackendInstance())
-                .Solve(constraints, racer);
-      } catch (...) {
-        r.status = SolveStatus::kUnknown;  // a dead leg must not end the race
-      }
-      std::lock_guard<std::mutex> lock(m);
-      legs[i].result = std::move(r);
-      legs[i].finished = true;
-      if (Definitive(legs[i].result.status)) {
-        race_done.store(true, std::memory_order_relaxed);
-      }
-      cv.notify_all();
-    };
-
-    std::thread propagate_leg(run, 0);
-    std::thread backtrack_leg(run, 1);
-    {
-      support::CancelToken caller = options.cancel;
-      std::unique_lock<std::mutex> lock(m);
-      while (!((legs[0].finished && Definitive(legs[0].result.status)) ||
-               (legs[1].finished && Definitive(legs[1].result.status)) ||
-               (legs[0].finished && legs[1].finished))) {
-        cv.wait_for(lock, std::chrono::milliseconds(1));
-        if (caller.Check()) break;  // relay an external kill to the racers
-      }
-      race_done.store(true, std::memory_order_relaxed);
-    }
-    propagate_leg.join();
-    backtrack_leg.join();
-
-    // Both are final now. Prefer a definitive leg; when both qualify
-    // (or neither does), propagate's answer is canonical.
-    if (Definitive(legs[0].result.status)) return std::move(legs[0].result);
-    if (Definitive(legs[1].result.status)) return std::move(legs[1].result);
-    return std::move(legs[0].result);
-  }
-};
-
 }  // namespace
-
-const SolverBackend& GetSolverBackend(SolverBackendKind kind) {
-  static const PortfolioBackend portfolio;
-  switch (kind) {
-    case SolverBackendKind::kBacktrack:
-      return BacktrackBackendInstance();
-    case SolverBackendKind::kPropagate:
-      return PropagateBackendInstance();
-    case SolverBackendKind::kPortfolio:
-      return portfolio;
-  }
-  return PropagateBackendInstance();
-}
 
 SolveResult ByteSolver::Solve() const { return SolveWith({}); }
 
@@ -264,8 +149,8 @@ SolveResult ByteSolver::SolveWith(const std::vector<ExprRef>& extra) const {
   }
   // Propagation pre-pass: decompose concat equalities into byte pins so
   // unit propagation starts from singleton domains for multi-byte
-  // fields. Runs before backend dispatch, so every core sees the same
-  // preprocessed system — a prerequisite for answer identity.
+  // fields. Runs before the split, so the residue search sees the same
+  // preprocessed system a monolithic search would.
   {
     std::vector<ExprRef> derived;
     for (const ExprRef& e : all) DecomposeConcatEquality(e, &derived);
@@ -585,14 +470,12 @@ SolveResult SolverCache::Solve(SolveContext& path, const Model& pins,
     return out;
   }
 
-  // 4. Residue search through the configured backend, which also taps
-  // the cache's cross-query nogood store.
+  // 4. Residue search, seeded from this path's context.
   const SolverOptions* search = &options;
   SolverOptions wired;
-  if (options.context != &path || options.nogoods != &nogoods_) {
+  if (options.context != &path) {
     wired = options;
     wired.context = &path;
-    wired.nogoods = &nogoods_;
     search = &wired;
   }
   out = SolveResidue(path, extra, *search);

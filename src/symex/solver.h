@@ -27,30 +27,13 @@
 // plus any unapplied unary constraint) — the hint when the domain allows
 // it, else the lowest allowed value, which is exactly what a monolithic
 // search would pick; an empty domain is kUnsat. Only the coupled residue
-// reaches a search core, so `steps` count the residue search alone
-// (DESIGN.md §10.1).
-//
-// Two search cores implement the same decision procedure behind the
-// SolverBackend interface (DESIGN.md §15):
-//
-//   backtrack — the original recursive search over std::array<bool,256>
-//               domains with tree-walking Eval. Kept verbatim as the
-//               A/B oracle: slow, simple, trusted.
-//   propagate — watched-domain propagation over 256-bit ByteDomain
-//               masks with constraints compiled to straight-line
-//               programs, plus conflict-driven nogood recording. Same
-//               decision tree (variable order, value order, filtering
-//               strength) as the backtracker by construction, so both
-//               return the identical first model and identical kUnsat
-//               verdicts; only step counts differ.
-//   portfolio — races both cores on two threads; the first definitive
-//               (kSat/kUnsat) answer wins and cancels the loser.
-//               Deterministic because the cores are answer-identical.
+// reaches the search core, BacktrackSearch (solver_backtrack.cpp), so
+// `steps` count the residue search alone (DESIGN.md §10.1, §15). Its
+// verdicts are held to a brute-force enumerator over small systems in
+// tests/solver_oracle_test.cpp.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -72,60 +55,6 @@ struct SolveResult {
   std::uint64_t steps = 0;
 };
 
-/// Which search core answers queries. Never part of any artifact or
-/// cache key: backends are answer-identical, so the choice is an
-/// observability/performance knob like vm::DispatchMode (DESIGN.md §15).
-enum class SolverBackendKind : std::uint8_t {
-  kBacktrack,
-  kPropagate,
-  kPortfolio,
-};
-
-/// CLI spelling ("backtrack" | "propagate" | "portfolio"), or nullopt.
-std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name);
-const char* SolverBackendName(SolverBackendKind kind);
-
-/// Conflict-driven nogoods recorded by the propagate core.
-///
-/// A nogood is a set of (variable, value) decision literals L plus the
-/// constraint set D (sorted node addresses) under which the search
-/// proved "D ∧ L has no model" by exhausting the subtree below L. It is
-/// sound to prune a branch of any later query Q ⊇ D whose partial
-/// assignment extends L: every total extension would satisfy D and L,
-/// contradicting the recorded proof. That subset applicability is what
-/// lets nogoods survive across the re-solves P3 issues as it extends a
-/// path's constraint prefix at each ep encounter: UNSAT-subset
-/// subsumption at sub-branch granularity.
-///
-/// Pruned subtrees are provably model-free, so recording and consulting
-/// nogoods cannot change which model a complete search finds first, nor
-/// flip kUnsat — only shrink the explored tree.
-class NogoodStore {
- public:
-  using Literal = std::pair<std::uint32_t, std::uint8_t>;  // (offset, value)
-
-  struct Nogood {
-    std::vector<Literal> literals;    // sorted by offset
-    std::vector<const Expr*> deps;    // sorted-unique node addresses
-  };
-
-  /// Records "deps ∧ literals is model-free". `literals` must be sorted
-  /// by offset, `deps` sorted-unique. Duplicates (same literals with a
-  /// dependency superset of a stored entry) are dropped; the store stops
-  /// accepting once full.
-  void Record(std::vector<Literal> literals, std::vector<const Expr*> deps);
-
-  const std::vector<Nogood>& all() const { return nogoods_; }
-  std::size_t size() const { return nogoods_.size(); }
-
-  /// Bound on stored nogoods: keeps the per-query applicability scan and
-  /// the store's footprint O(1) in the length of a P3 run.
-  static constexpr std::size_t kMaxNogoods = 256;
-
- private:
-  std::vector<Nogood> nogoods_;
-};
-
 struct SolverOptions {
   /// Backtracking-step budget before giving up with kUnknown.
   std::uint64_t max_steps = 2'000'000;
@@ -145,31 +74,16 @@ struct SolverOptions {
   /// always prefilters every unary constraint; the context only skips
   /// evaluations whose outcome it has already recorded).
   const SolveContext* context = nullptr;
-  /// Search core selection. Excluded from every cache and artifact key —
-  /// backends are answer-identical by construction.
-  SolverBackendKind backend = SolverBackendKind::kPropagate;
-  /// Optional cross-query nogood store, consulted and extended by the
-  /// propagate core (the backtrack oracle ignores it). The SolverCache
-  /// owns one per executor worker, matching the interning scope the
-  /// recorded node addresses live in.
-  NogoodStore* nogoods = nullptr;
 };
 
-/// One complete search core. `Solve` receives the *preprocessed*
-/// constraint system (deduplicated, concat equalities decomposed,
-/// constant-false screened by ByteSolver) and must be a pure function of
-/// (constraints, options.hints, options.context) for definitive
-/// statuses — that purity is what makes backend choice cache-invisible.
-class SolverBackend {
- public:
-  virtual ~SolverBackend() = default;
-  virtual const char* name() const = 0;
-  virtual SolveResult Solve(const std::vector<ExprRef>& constraints,
-                            const SolverOptions& options) const = 0;
-};
-
-/// Singleton accessor for the cores (and the portfolio composition).
-const SolverBackend& GetSolverBackend(SolverBackendKind kind);
+/// The complete search core. Receives the *preprocessed* constraint
+/// system (deduplicated, concat equalities decomposed, constant-false
+/// screened by ByteSolver) and branches on the smallest filtered domain,
+/// hint first, then ascending values. For definitive statuses the result
+/// is a pure function of (constraints, options.hints) — options.context
+/// only skips filtering work — which is what lets SolverCache memoize it.
+SolveResult BacktrackSearch(const std::vector<ExprRef>& constraints,
+                            const SolverOptions& options);
 
 class ByteSolver {
  public:
@@ -193,9 +107,9 @@ class ByteSolver {
 
   /// Satisfiability of (current constraints + extra): preprocesses,
   /// answers the unary-only bytes without search, and sends the coupled
-  /// residue to the configured backend. Status and model equal the
-  /// monolithic GetSolverBackend(backend).Solve of the preprocessed
-  /// system whenever that one is definitive; `steps` count the residue.
+  /// residue to BacktrackSearch. Status and model equal the monolithic
+  /// BacktrackSearch of the preprocessed system whenever that one is
+  /// definitive; `steps` count the residue.
   SolveResult SolveWith(const std::vector<ExprRef>& extra) const;
 
  private:
@@ -238,16 +152,12 @@ class ByteSolver {
 ///                 context's domains and only the coupled residue — the
 ///                 coupled constraints, the unary and derived byte
 ///                 equalities on the bytes they touch, in ByteSolver's
-///                 preprocessed order — goes to the configured backend.
+///                 preprocessed order — goes to BacktrackSearch.
 ///
 /// Every status, first model, tier and step count equals what
 /// normalizing the full sequence from scratch and running the same tiers
 /// over ByteSolver::SolveWith answers (the IncrementalContextDifferential
 /// tests hold the two side by side).
-///
-/// The cache additionally owns the cross-query NogoodStore the
-/// propagate backend feeds, scoped like everything else here to one
-/// executor run.
 ///
 /// The cache must not outlive the expressions it indexes: one cache per
 /// executor run (per frontier worker), like the interning scope whose
@@ -272,22 +182,17 @@ class SolverCache {
   /// preferences: a reuse candidate takes, per byte, pins > cached model
   /// > hints, mirroring what a fresh hint-guided search tries first, and
   /// covers only the bytes the query mentions. The search runs with
-  /// `options` as given when `options.context` is `&path` and
-  /// `options.nogoods` is nogoods() — the executor wires its per-worker
-  /// options once — and on a wired copy otherwise. kSat/kUnsat results
-  /// are memoized; kUnknown is not (a larger budget could improve it) and
-  /// kCancelled never is. SAT models join the context's reuse pool. The
-  /// result is a pure function of (sequence, speculative, pins, hints) —
-  /// see DESIGN.md §10.
+  /// `options` as given when `options.context` is `&path` — the executor
+  /// points its per-worker options at the asking state — and on a copy
+  /// pointed there otherwise. kSat/kUnsat results are memoized; kUnknown
+  /// is not (a larger budget could improve it) and kCancelled never is.
+  /// SAT models join the context's reuse pool. The result is a pure
+  /// function of (sequence, speculative, pins, hints) — see DESIGN.md §10.
   SolveResult Solve(SolveContext& path, const Model& pins,
                     const SolverOptions& options,
                     const ExprRef* speculative = nullptr);
 
   const Stats& stats() const { return stats_; }
-
-  /// Nogoods recorded by fresh propagate-backend solves through this
-  /// cache; survives across queries for the cache's lifetime.
-  NogoodStore& nogoods() { return nogoods_; }
 
  private:
   struct Entry {
@@ -300,7 +205,6 @@ class SolverCache {
                      Model* out) const;
 
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
-  NogoodStore nogoods_;
   Stats stats_;
 };
 

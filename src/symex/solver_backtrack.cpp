@@ -1,8 +1,7 @@
-// The original recursive CSP search, preserved verbatim as the A/B
-// oracle behind SolverBackend. Slow and simple on purpose: std::array
-// domains, tree-walking Eval, no nogoods. The propagate core must agree
-// with this one on every definitive answer (status and first model), and
-// CI diffs whole-corpus runs of both to hold it to that.
+// The solver's one search core: a recursive CSP search over the coupled
+// residue ByteSolver and SolverCache hand it. Simple on purpose:
+// std::array domains and tree-walking Eval. tests/solver_oracle_test.cpp
+// holds its verdicts to a brute-force enumerator.
 #include <algorithm>
 #include <array>
 #include <deque>
@@ -327,41 +326,31 @@ struct Search {
   }
 };
 
-class BacktrackBackend final : public SolverBackend {
- public:
-  const char* name() const override { return "backtrack"; }
-
-  SolveResult Solve(const std::vector<ExprRef>& constraints,
-                    const SolverOptions& options) const override {
-    Search search{constraints, options.hints, options.max_steps,
-                  options.cancel, options.context};
-    const Search::Outcome outcome = search.Run();
-    SolveResult result;
-    result.steps = search.steps;
-    switch (outcome) {
-      case Search::Outcome::kSat:
-        result.status = SolveStatus::kSat;
-        result.model = std::move(search.assignment);
-        break;
-      case Search::Outcome::kUnsat:
-        result.status = SolveStatus::kUnsat;
-        break;
-      case Search::Outcome::kBudget:
-        result.status = SolveStatus::kUnknown;
-        break;
-      case Search::Outcome::kCancelled:
-        result.status = SolveStatus::kCancelled;
-        break;
-    }
-    return result;
-  }
-};
-
 }  // namespace
 
-const SolverBackend& BacktrackBackendInstance() {
-  static const BacktrackBackend backend;
-  return backend;
+SolveResult BacktrackSearch(const std::vector<ExprRef>& constraints,
+                            const SolverOptions& options) {
+  Search search{constraints, options.hints, options.max_steps, options.cancel,
+                options.context};
+  const Search::Outcome outcome = search.Run();
+  SolveResult result;
+  result.steps = search.steps;
+  switch (outcome) {
+    case Search::Outcome::kSat:
+      result.status = SolveStatus::kSat;
+      result.model = std::move(search.assignment);
+      break;
+    case Search::Outcome::kUnsat:
+      result.status = SolveStatus::kUnsat;
+      break;
+    case Search::Outcome::kBudget:
+      result.status = SolveStatus::kUnknown;
+      break;
+    case Search::Outcome::kCancelled:
+      result.status = SolveStatus::kCancelled;
+      break;
+  }
+  return result;
 }
 
 }  // namespace octopocs::symex

@@ -135,7 +135,7 @@ constexpr const char* kOriginalS = R"(
 
 // T: different container — magic "TT!" + a skip field + count; the
 // guiding input differs from S's, the records are the reusable part.
-constexpr const char* kPropagatedT = R"(
+constexpr const char* kCloneT = R"(
   func main()
     movi %n, 8
     alloc %hdr, %n
@@ -168,7 +168,7 @@ constexpr const char* kPropagatedT = R"(
 
 TEST(Combining, ReformsPocAcrossContainers) {
   const Program s = AssembleParts({kSharedDecoder, kOriginalS});
-  const Program t = AssembleParts({kSharedDecoder, kPropagatedT});
+  const Program t = AssembleParts({kSharedDecoder, kCloneT});
 
   // Original PoC for S: "SS", count=2, benign record (1,2), crashing
   // record (0x80, 0x90).
@@ -433,7 +433,7 @@ TEST(DirectedSymex, StatsArePopulated) {
 
 TEST(Combining, PocLengthCoversGuidingAndBunches) {
   const Program s = AssembleParts({kSharedDecoder, kOriginalS});
-  const Program t = AssembleParts({kSharedDecoder, kPropagatedT});
+  const Program t = AssembleParts({kSharedDecoder, kCloneT});
   const Bytes poc{'S', 'S', 1, 0x80, 0x90};
   const auto p1 = taint::ExtractCrashPrimitives(s, poc, s.FindFunction("dec"));
   ASSERT_TRUE(p1.Crashed());

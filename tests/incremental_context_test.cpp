@@ -11,8 +11,7 @@
 // multi-byte concat equalities (some with constant bits outside their
 // lanes), 2–3-byte coupled clusters — must get the same status, the
 // same model, the same answering tier and the same search steps from
-// both, on every backend (steps are the portfolio race's one racy
-// field, so they are compared on the deterministic cores only).
+// both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,7 +140,6 @@ class ScratchCache {
 
     SolverOptions options = base;
     options.context = partial;
-    options.nogoods = &nogoods_;
     a.tier = Tier::kMiss;
     a.result = ByteSolver(options).SolveWith(normalized);
     if (a.result.status == SolveStatus::kSat ||
@@ -154,7 +152,6 @@ class ScratchCache {
 
  private:
   std::map<std::vector<const Expr*>, SolveResult> memo_;
-  NogoodStore nogoods_;
 };
 
 /// Tier of the query SolverCache just answered, from its counters.
@@ -275,9 +272,7 @@ struct Harness {
   int queries = 0;
   std::map<Tier, int> tiers;
 
-  Harness(SolverBackendKind backend, std::uint32_t seed) : rng(seed) {
-    options.backend = backend;
-    options.nogoods = &cache.nogoods();
+  explicit Harness(std::uint32_t seed) : rng(seed) {
     for (std::uint32_t v = 0; v < kVars; ++v) {
       if (rng() % 3 != 0) options.hints[v] = static_cast<std::uint8_t>(rng());
     }
@@ -311,20 +306,15 @@ struct Harness {
     ++queries;
     ++tiers[tier];
 
-    const std::string where = std::string(what) + " query " +
-                              std::to_string(queries) + " (" +
-                              SolverBackendName(options.backend) + ")";
+    const std::string where =
+        std::string(what) + " query " + std::to_string(queries);
     EXPECT_EQ(TierName(tier), std::string(TierName(want.tier))) << where;
     EXPECT_EQ(got.status, want.result.status) << where;
     EXPECT_EQ(got.model, want.result.model) << where;
-    if (options.backend != SolverBackendKind::kPortfolio) {
-      EXPECT_EQ(got.steps, want.result.steps) << where;
-    }
+    EXPECT_EQ(got.steps, want.result.steps) << where;
     EXPECT_EQ(p.ctx.recent_models(), p.ref_pool) << where;
     return tier == want.tier && got.status == want.result.status &&
-           got.model == want.result.model &&
-           (options.backend == SolverBackendKind::kPortfolio ||
-            got.steps == want.result.steps);
+           got.model == want.result.model && got.steps == want.result.steps;
   }
 
   /// A random walk over one path and its forks.
@@ -373,9 +363,9 @@ struct Harness {
   }
 };
 
-void RunWalks(SolverBackendKind backend, std::uint32_t seed, int walks) {
+void RunWalks(std::uint32_t seed, int walks) {
   InternScope intern;
-  Harness h(backend, seed);
+  Harness h(seed);
   for (int w = 0; w < walks && !testing::Test::HasFailure(); ++w) {
     h.Walk(60);
   }
@@ -386,16 +376,20 @@ void RunWalks(SolverBackendKind backend, std::uint32_t seed, int walks) {
   EXPECT_GT(h.tiers[Tier::kMiss], 0);
 }
 
+// One walk set per case, each with its own seed, cache and hints. The
+// OnPropagate and OnPortfolio names date from when these seeds drove the
+// since-deleted propagate and portfolio cores; all three now run the one
+// backtracking core, with steps compared.
 TEST(IncrementalContextDifferential, MatchesScratchReferenceOnBacktrack) {
-  RunWalks(SolverBackendKind::kBacktrack, 11, 80);
+  RunWalks(11, 80);
 }
 
 TEST(IncrementalContextDifferential, MatchesScratchReferenceOnPropagate) {
-  RunWalks(SolverBackendKind::kPropagate, 12, 80);
+  RunWalks(12, 80);
 }
 
 TEST(IncrementalContextDifferential, MatchesScratchReferenceOnPortfolio) {
-  RunWalks(SolverBackendKind::kPortfolio, 13, 25);
+  RunWalks(13, 80);
 }
 
 TEST(IncrementalContextDifferential, ConcatBitsOutsideTheLanesAreASearchUnsat) {
@@ -470,7 +464,6 @@ TEST(IncrementalContextDifferential, ForkedContextsAppendOnTwoThreads) {
       SharedInternBinding worker_bind(table);
       SolverCache cache;
       SolverOptions options;
-      options.nogoods = &cache.nogoods();
       PathState& p = runs[t].state;
       for (const ExprRef& c : suffix[t]) {
         NotePin(c, &p.pins);

@@ -46,11 +46,6 @@
 //                              are byte-identical across backends; the
 //                              flag is the A/B baseline and the portable
 //                              fallback.
-//         --solver-backend=backtrack|propagate|portfolio
-//                              CSP search core for every P2/P3 solver
-//                              query (default propagate). Backends are
-//                              answer-identical; backtrack is the slow
-//                              trusted oracle, portfolio races both.
 //   detect <s.asm> <t.asm>
 //       Print the function-level clones between two programs.
 //   run <prog.asm> <input.bin> [--trace] [--vm-dispatch=switch|threaded]
@@ -293,28 +288,6 @@ bool ParseVmDispatch(const std::string& arg, vm::DispatchMode* mode,
   return true;
 }
 
-/// Consumes --solver-backend=backtrack|propagate|portfolio into `opts`.
-/// Same contract as ParseVmDispatch: returns false when `arg` is not
-/// this flag, clears `ok` on an unknown backend name. Backends are
-/// answer-identical (CI diffs whole-corpus runs); the flag exists for
-/// A/B verification and perf measurement.
-bool ParseSolverBackendFlag(const std::string& arg,
-                            core::PipelineOptions* opts, bool* ok) {
-  constexpr const char kPrefix[] = "--solver-backend=";
-  if (arg.rfind(kPrefix, 0) != 0) return false;
-  const std::string value = arg.substr(sizeof kPrefix - 1);
-  if (const auto kind = symex::ParseSolverBackend(value)) {
-    core::SetSolverBackend(*opts, *kind);
-  } else {
-    std::fprintf(stderr,
-                 "unknown --solver-backend: %s (want "
-                 "backtrack|propagate|portfolio)\n",
-                 value.c_str());
-    *ok = false;
-  }
-  return true;
-}
-
 /// Consumes the fuzz-fallback rung flags shared by every
 /// pipeline-running subcommand: --fuzz-fallback turns the rung on,
 /// --fuzz-seed / --fuzz-execs / --fuzz-deadline-ms pin the campaign's
@@ -395,9 +368,7 @@ int CmdVerify(int argc, char** argv) {
                          "[--fuzz-execs N] [--fuzz-deadline-ms N] "
                          "[--frontier-jobs N] "
                          "[--trace-out FILE] [--artifact-cache=on|off] "
-                         "[--vm-dispatch=switch|threaded] "
-                         "[--solver-backend=backtrack|propagate|portfolio]"
-                         "\n");
+                         "[--vm-dispatch=switch|threaded]\n");
     return 2;
   }
   const vm::Program s = vm::Assemble(ReadTextFile(argv[0]));
@@ -440,8 +411,6 @@ int CmdVerify(int argc, char** argv) {
     } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
       if (!ok) return 2;
       core::SetVmDispatch(opts, dispatch);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
     } else if (obs.Parse(arg, argc, argv, i)) {
       // consumed
     } else {
@@ -564,9 +533,7 @@ int CmdPairWorker(int argc, char** argv) {
                          "[--solver-retry] [--fuzz-fallback] [--fuzz-seed N] "
                          "[--fuzz-execs N] [--fuzz-deadline-ms N] "
                          "[--abort-fault SITE:SKIP:STAMP] "
-                         "[--vm-dispatch=switch|threaded] "
-                         "[--solver-backend=backtrack|propagate|portfolio]"
-                         "\n");
+                         "[--vm-dispatch=switch|threaded]\n");
     return 2;
   }
   const int idx = std::atoi(argv[0]);
@@ -603,8 +570,6 @@ int CmdPairWorker(int argc, char** argv) {
     } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
       if (!ok) return 2;
       core::SetVmDispatch(opts, dispatch);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
     } else {
       std::fprintf(stderr, "unknown pair-worker option: %s\n", arg.c_str());
       return 2;
@@ -685,8 +650,6 @@ int CmdPoolWorker(int argc, char** argv) {
     } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
       if (!ok) return 2;
       core::SetVmDispatch(opts, dispatch);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
     } else {
       std::fprintf(stderr, "unknown pool-worker option: %s\n", arg.c_str());
       return 2;
@@ -899,9 +862,6 @@ int CmdCorpus(int argc, char** argv) {
     } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
       if (!ok) return 2;
       core::SetVmDispatch(opts, dispatch);
-      forwarded.push_back(arg);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
       forwarded.push_back(arg);
     } else if (obs.Parse(arg, argc, argv, i)) {
       // consumed
@@ -1173,9 +1133,6 @@ int CmdServe(int argc, char** argv) {
     } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
       if (!ok) return 2;
       core::SetVmDispatch(serve.pipeline, dispatch);
-    } else if (bool ok = true;
-               ParseSolverBackendFlag(arg, &serve.pipeline, &ok)) {
-      if (!ok) return 2;
     } else {
       std::fprintf(stderr, "unknown serve option: %s\n", arg.c_str());
       return 2;
